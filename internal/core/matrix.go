@@ -150,11 +150,7 @@ func (m *Matrix) Render() string {
 			w = len(a)
 		}
 	}
-	fmt.Fprintf(&b, "%-*s", w+2, "attack \\ defense")
-	if w+2 < len("attack \\ defense")+2 {
-		w = len("attack \\ defense")
-	}
-	b.Reset()
+	w = max(w, len("attack \\ defense"))
 	fmt.Fprintf(&b, "%-*s", w+2, "attack")
 	for _, mit := range m.Mitigations {
 		fmt.Fprintf(&b, " | %-16s", mit)

@@ -81,13 +81,14 @@ type BlockCheckCompiler interface {
 	CompileBlockCheck(start, end uint32) (dataFree, ok bool)
 }
 
-// Block cache geometry and block formation limits. 1024 direct-mapped
-// slots comfortably cover the few hundred distinct block starts of a
-// victim+libc image. Allocation is warm-gated (see the warm-up probe in
+// Block cache geometry and block formation limits. The direct-mapped
+// table is sized like the decode cache (see dcacheBits); with fewer
+// slots, the blocks of a fuzz campaign's hot loops conflict often
+// enough to slow it. Allocation is warm-gated (see the warm-up probe in
 // cpu.go): only a process that demonstrably re-executes code pays the
 // table's zeroing, so one-shot loads (BenchmarkFullReload) stay free.
 const (
-	bcacheBits = 10
+	bcacheBits = 8
 	bcacheSize = 1 << bcacheBits
 	// MaxBlockLen caps block formation (and bounds the partial-retirement
 	// scan); it must stay ≤ 32 so the store mask fits a uint32.

@@ -176,21 +176,24 @@ type TrapHandler interface {
 }
 
 // Decoded-instruction cache geometry: direct-mapped, indexed by the low
-// bits of the instruction address.
+// bits of the instruction address. Every process that re-executes code
+// allocates and zeroes the table, so it is sized for the short victim
+// runs that dominate sweeps; larger tables made their cold trials slower
+// (DESIGN.md, "Cache sizes").
 const (
-	dcacheBits = 12
+	dcacheBits = 8
 	dcacheSize = 1 << dcacheBits
 )
 
-// Pre-cache warm-up probe geometry. The decode and block caches together
-// cost several hundred kilobytes of allocation and zeroing — worth it the
-// moment any code re-executes, pure overhead for a process that runs
-// front to back once (kernel.Load-per-execution harnesses, wild one-shot
-// fuzz inputs; see BenchmarkFullReload). Until the caches exist, every
-// fetch probes a tiny direct-mapped table of recently fetched addresses;
-// the first refetched address — the earliest proof of re-execution, the
-// same signal the block engine's hotness gate keys on — trips allocation
-// of both caches. A cold CPU pays one array store per fetch and nothing
+// Pre-cache warm-up probe geometry. The decode and block caches cost
+// allocation and zeroing — worth it the moment any code re-executes,
+// pure overhead for a process that runs front to back once
+// (kernel.Load-per-execution harnesses, wild one-shot fuzz inputs; see
+// BenchmarkFullReload). Until the caches exist, every fetch probes a
+// tiny direct-mapped table of recently fetched addresses; the first
+// refetched address — the earliest proof of re-execution, the same
+// signal the block engine's hotness gate keys on — trips allocation of
+// both caches. A cold CPU pays one array store per fetch and nothing
 // else; collisions merely delay the trip (never prevent correctness,
 // since the caches are semantically transparent).
 const (

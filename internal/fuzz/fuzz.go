@@ -40,6 +40,7 @@ import (
 	"softsec/internal/kernel"
 	"softsec/internal/layout"
 	"softsec/internal/minc"
+	"softsec/internal/seedrand"
 	"softsec/internal/telemetry"
 )
 
@@ -315,7 +316,7 @@ func New(cfg Config) (*Campaign, error) {
 		seeds = DefaultSeeds()
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := seedrand.New(cfg.Seed)
 	// Fixed draw order: layout seed, canary seed, then the mutation
 	// stream owns the rng.
 	aslrSeed := rng.Int63()

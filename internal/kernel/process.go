@@ -9,6 +9,7 @@ import (
 	"softsec/internal/cpu"
 	"softsec/internal/layout"
 	"softsec/internal/mem"
+	"softsec/internal/seedrand"
 )
 
 // Nominal (non-ASLR) memory layout of the *classic* profile, matching the
@@ -197,7 +198,7 @@ func CanaryValue(seed int64) uint32 {
 	if seed == 0 {
 		return DefaultCanary
 	}
-	return uint32(rand.New(rand.NewSource(seed)).Int63()) | 1
+	return uint32(seedrand.New(seed).Int63()) | 1
 }
 
 // Process is a loaded program plus its kernel-side state.
@@ -326,7 +327,7 @@ func Load(ld *Linked, cfg Config) (*Process, error) {
 		// Like a real kernel, redraw until the randomized bases do not
 		// collide. The rng is seeded from ASLRSeed, so the accepted
 		// layout — including any redraws — is deterministic per seed.
-		rng := rand.New(rand.NewSource(cfg.ASLRSeed))
+		rng := seedrand.New(cfg.ASLRSeed)
 		layout = RandomizedLayoutFor(rng, cfg.Profile)
 		for i := 0; i < 64 && !layoutFits(layout, ld); i++ {
 			layout = RandomizedLayoutFor(rng, cfg.Profile)

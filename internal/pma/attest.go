@@ -10,6 +10,7 @@ import (
 
 	"softsec/internal/isa"
 	"softsec/internal/kernel"
+	"softsec/internal/seedrand"
 )
 
 // Hardware models the trusted hardware of a Protected Module Architecture:
@@ -32,8 +33,8 @@ type Hardware struct {
 // (deterministic for reproducible experiments; a real platform fuses
 // randomness at manufacturing).
 func NewHardware(seed int64) *Hardware {
-	h := &Hardware{counters: make(map[string]uint64), rng: rand.New(rand.NewSource(seed))}
-	r := rand.New(rand.NewSource(seed ^ 0x5ecf_ab1e))
+	h := &Hardware{counters: make(map[string]uint64), rng: seedrand.New(seed)}
+	r := seedrand.New(seed ^ 0x5ecf_ab1e)
 	r.Read(h.platformSecret[:])
 	return h
 }
