@@ -562,8 +562,8 @@ void main() {
 // BenchmarkFuzzExecsPerSecHot measures campaign throughput on warm-cache
 // non-crashing cells: mutate, reset, execute, classify, admit, with
 // decode/block/trace caches staying warm across every reset. The
-// no-policy execs/sec numbers here are the headline fuzzing figures for
-// BENCH_trace.json.
+// no-policy execs/sec numbers here are the headline fuzzing figures in
+// EXPERIMENTS.md.
 func BenchmarkFuzzExecsPerSecHot(b *testing.B) {
 	for _, tc := range []struct {
 		name, src string

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"softsec/internal/telemetry"
 )
 
 // cmds_test.go builds every command-line tool and exercises it end to end
@@ -16,7 +18,7 @@ import (
 func buildTools(t *testing.T) string {
 	t.Helper()
 	bin := t.TempDir()
-	for _, tool := range []string{"minc", "smasm", "secsim", "figures", "attacklab", "benchsnap", "rundiff"} {
+	for _, tool := range []string{"minc", "smasm", "secsim", "figures", "attacklab", "rundiff"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
@@ -277,11 +279,12 @@ main:
 		if !strings.Contains(out, "guest profile:") {
 			t.Fatalf("hot-cost table missing:\n%s", out)
 		}
-		// The metrics file carries the telemetry-metrics tool tag, so
-		// benchsnap's validator dispatches it.
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", mfile)
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("metrics validation:\n%s", out)
+		metrics, err := os.ReadFile(mfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.ValidateMetrics(metrics); err != nil {
+			t.Fatalf("metrics validation: %v", err)
 		}
 		prof, err := os.ReadFile(pfile)
 		if err != nil {
@@ -315,78 +318,6 @@ main:
 			if !strings.Contains(string(data), want) {
 				t.Fatalf("metrics missing %q:\n%s", want, data)
 			}
-		}
-	})
-
-	t.Run("benchsnap validates committed snapshot", func(t *testing.T) {
-		// Strict: -validate only re-reads recorded values, so the
-		// committed snapshot must meet the acceptance floors regardless
-		// of the machine running the tests.
-		out := runTool(t, bin, "benchsnap", 0, "-validate")
-		if !strings.Contains(out, "BENCH_trace.json: ok") {
-			t.Fatalf("benchsnap output:\n%s", out)
-		}
-	})
-	t.Run("benchsnap quick roundtrip", func(t *testing.T) {
-		snap := filepath.Join(work, "snap.json")
-		out := runTool(t, bin, "benchsnap", 0, "-quick", "-o", snap)
-		if !strings.Contains(out, "trace_chain8") {
-			t.Fatalf("benchsnap output:\n%s", out)
-		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap, "-strict=false")
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("benchsnap validate output:\n%s", out)
-		}
-	})
-	t.Run("benchsnap validates committed profiles snapshot", func(t *testing.T) {
-		out := runTool(t, bin, "benchsnap", 0, "-profiles", "-validate")
-		if !strings.Contains(out, "BENCH_profiles.json: ok") {
-			t.Fatalf("benchsnap output:\n%s", out)
-		}
-	})
-	t.Run("benchsnap profiles quick roundtrip", func(t *testing.T) {
-		snap := filepath.Join(work, "profsnap.json")
-		out := runTool(t, bin, "benchsnap", 0, "-profiles", "-quick", "-o", snap)
-		for _, want := range []string{"classic", "canary-below-vla", "inverted-locals"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("benchsnap -profiles output missing %q:\n%s", want, out)
-			}
-		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", snap, "-strict=false")
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("benchsnap validate output:\n%s", out)
-		}
-	})
-	t.Run("benchsnap freezes the registry", func(t *testing.T) {
-		snap := filepath.Join(work, "freeze.json")
-		mfile := filepath.Join(work, "freeze_metrics.json")
-		out := runTool(t, bin, "benchsnap", 0, "-quick", "-o", snap, "-metrics", mfile)
-		if !strings.Contains(out, "wrote "+mfile) {
-			t.Fatalf("benchsnap output:\n%s", out)
-		}
-		data, err := os.ReadFile(mfile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Engine counters in the deterministic section, timings in wall.
-		for _, want := range []string{"cpu.trace.formed", `"wall"`, "ns_per_instr.trace_chain8"} {
-			if !strings.Contains(string(data), want) {
-				t.Fatalf("frozen registry missing %q:\n%s", want, data)
-			}
-		}
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", mfile)
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("benchsnap validate output:\n%s", out)
-		}
-	})
-	t.Run("benchsnap rejects corrupt snapshot", func(t *testing.T) {
-		bad := filepath.Join(work, "bad.json")
-		if err := os.WriteFile(bad, []byte(`{"schema": 99}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out := runTool(t, bin, "benchsnap", 1, "-validate", "-f", bad)
-		if !strings.Contains(out, "schema 99") {
-			t.Fatalf("benchsnap output:\n%s", out)
 		}
 	})
 
@@ -473,27 +404,23 @@ main:
 		if !strings.Contains(out, "fuzz/echo/none") {
 			t.Fatalf("rundiff -list output:\n%s", out)
 		}
-		// The record files carry the runlog-record tool tag, so the
-		// unified validator dispatches them too.
-		rec := filepath.Join(runs, "records", "000001.json")
-		out = runTool(t, bin, "benchsnap", 0, "-validate", "-f", rec)
-		if !strings.Contains(out, "ok") {
-			t.Fatalf("record validation:\n%s", out)
+		// File mode loads each record through runlog.Load (schema, kind,
+		// content ID, embedded metrics), no ledger needed.
+		out = runTool(t, bin, "rundiff", 0,
+			filepath.Join(runs, "records", "000001.json"),
+			filepath.Join(runs, "records", "000002.json"))
+		if !strings.Contains(out, "deterministic content identical") {
+			t.Fatalf("rundiff file mode output:\n%s", out)
 		}
-	})
-	t.Run("benchsnap appends bench records", func(t *testing.T) {
-		bruns := filepath.Join(work, "bench_runs")
-		snap := filepath.Join(work, "bench_rl.json")
-		_, errOut := runToolStd(t, bin, "benchsnap", 0, "-quick", "-o", snap, "-runlog", bruns)
-		if !strings.Contains(errOut, "runlog: appended run 1") {
-			t.Fatalf("benchsnap stderr:\n%s", errOut)
+		// Only sweep records load; an older ledger's bench-kind record is
+		// a load error (exit 2).
+		bad := filepath.Join(work, "old_record.json")
+		if err := os.WriteFile(bad, []byte(`{"schema": 1, "tool": "runlog-record", "config": {"tool": "x", "kind": "bench"}}`), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		runToolStd(t, bin, "benchsnap", 0, "-quick", "-o", snap, "-runlog", bruns)
-		// Two bench runs of the same budgets: same experiment, wall
-		// numbers compared as ratios.
-		out := runTool(t, bin, "rundiff", 0, "-dir", bruns)
-		if !strings.Contains(out, "trace.ns_per_instr.trace_chain8") {
-			t.Fatalf("rundiff bench output:\n%s", out)
+		out = runTool(t, bin, "rundiff", 2, bad, filepath.Join(runs, "records", "000001.json"))
+		if !strings.Contains(out, `kind "bench"`) {
+			t.Fatalf("rundiff output:\n%s", out)
 		}
 	})
 }

@@ -123,15 +123,9 @@ func (d *Diff) diffConfig() {
 }
 
 func (d *Diff) diffCells() error {
-	if len(d.A.Report) == 0 && len(d.B.Report) == 0 {
-		return nil
-	}
 	parse := func(raw json.RawMessage) (map[string]map[string]int, []string, error) {
 		cells := map[string]map[string]int{}
 		var order []string
-		if len(raw) == 0 {
-			return cells, order, nil
-		}
 		var doc reportDoc
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			return nil, nil, fmt.Errorf("runlog: embedded report: %w", err)

@@ -1,14 +1,13 @@
 // Package runlog is the cross-run observability layer: an append-only,
 // content-keyed store of run records plus the diff and regression
-// engines over them. Every sweep (secsim/attacklab -runlog) and every
-// benchsnap measurement can append a schema-validated record — the
-// aggregate report, the merged telemetry metrics (cache and warm
-// counters included), the wall-clock throughput numbers, and an
-// environment fingerprint — so the paper's comparative claims stop
-// evaporating when the process exits: any two runs, days or commits
-// apart, can be diffed cell by cell and counter by counter, and CI can
-// gate on configured regression floors instead of a human re-reading
-// EXPERIMENTS.md.
+// engines over them. Every sweep (secsim/attacklab -runlog) can append
+// a schema-validated record — the aggregate report, the merged
+// telemetry metrics (cache and warm counters included), the wall-clock
+// throughput numbers, and an environment fingerprint — so the paper's
+// comparative claims stop evaporating when the process exits: any two
+// runs, days or commits apart, can be diffed cell by cell and counter by
+// counter, and CI can gate on configured regression floors instead of a
+// human re-reading EXPERIMENTS.md.
 //
 // Identity follows the same determinism split the telemetry layer
 // enforces. A record's ID is two content hashes joined:
@@ -23,7 +22,7 @@
 // histograms — never the quarantined wall section or the environment),
 // so byte-identical runs share a full ID and a changed outcome or
 // counter shows up as a digest change under the same key. Wall-clock
-// numbers (trials/sec, bench timings) ride along in the record for
+// numbers (trials/sec, elapsed time) ride along in the record for
 // throughput-ratio checks but never feed identity.
 package runlog
 
@@ -39,18 +38,15 @@ import (
 	"softsec/internal/telemetry"
 )
 
-// Schema versions the record format; Tool is the tag validators
-// dispatch on, same convention as every other snapshot kind.
+// Schema versions the record format; Tool tags a file as a run record,
+// as telemetry.MetricsTool tags a metrics file.
 const (
 	Schema = 1
 	Tool   = "runlog-record"
 )
 
-// Record kinds.
-const (
-	KindSweep = "sweep" // a harness sweep: report + metrics
-	KindBench = "bench" // a benchsnap measurement: wall numbers + counters
-)
+// KindSweep is the record kind of a harness sweep: report + metrics.
+const KindSweep = "sweep"
 
 // Env is the environment fingerprint: the machine and process context a
 // run executed under. It is recorded for provenance and diff rendering
@@ -94,8 +90,8 @@ func (e Env) PublishWall(reg *telemetry.Registry) {
 // key. Group and Scenario describe the selection (one or the other,
 // matching the CLI's -group/-scenario split).
 type Config struct {
-	Tool     string `json:"tool"` // secsim, attacklab, benchsnap
-	Kind     string `json:"kind"` // KindSweep or KindBench
+	Tool     string `json:"tool"` // secsim, attacklab
+	Kind     string `json:"kind"` // KindSweep; hashed into every ledger ID
 	Group    string `json:"group,omitempty"`
 	Scenario string `json:"scenario,omitempty"`
 	Trials   int    `json:"trials,omitempty"`
@@ -105,7 +101,7 @@ type Config struct {
 }
 
 // Label is the human name of the selection: the scenario, the group, or
-// the tool when neither is set (bench records).
+// the tool when neither is set (a sweep over the whole catalog).
 func (c Config) Label() string {
 	switch {
 	case c.Scenario != "":
@@ -126,15 +122,15 @@ type Record struct {
 	Env    Env    `json:"env"`
 	// Report is the sweep's aggregate report JSON (harness.Report),
 	// verbatim — the bytes the determinism contract makes identical at
-	// any -jobs width. Empty for bench records.
+	// any -jobs width.
 	Report json.RawMessage `json:"report,omitempty"`
 	// Metrics is the merged telemetry registry: deterministic counters
 	// and histograms (cache/warm counters included) plus the
 	// quarantined wall section carrying the embedded fingerprint.
 	Metrics *telemetry.MetricsFile `json:"metrics,omitempty"`
-	// Wall holds the run's wall-clock numbers — trials/sec for sweeps,
-	// every headline bench number for benchsnap records. Excluded from
-	// the digest, exactly like the metrics wall section.
+	// Wall holds the run's wall-clock numbers (trials/sec, elapsed
+	// time). Excluded from the digest, exactly like the metrics wall
+	// section.
 	Wall map[string]float64 `json:"wall,omitempty"`
 }
 
@@ -192,33 +188,16 @@ func (r *Record) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Load parses and validates a serialized record.
+// Load parses and validates a serialized record: schema, tool tag,
+// kind, the content ID (tamper evidence) and the embedded metrics.
 func Load(data []byte) (*Record, error) {
-	r, err := decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return r, validate(r)
-}
-
-func decode(data []byte) (*Record, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var r Record
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("runlog: record: %w", err)
 	}
-	return &r, nil
-}
-
-// Validate checks that data is a well-formed, untampered run record —
-// the entry point benchsnap -validate dispatches to on the tool tag.
-func Validate(data []byte) error {
-	r, err := decode(data)
-	if err != nil {
-		return err
-	}
-	return validate(r)
+	return &r, validate(&r)
 }
 
 func validate(r *Record) error {
@@ -228,17 +207,11 @@ func validate(r *Record) error {
 	if r.Tool != Tool {
 		return fmt.Errorf("runlog: record: tool %q (want %q)", r.Tool, Tool)
 	}
-	switch r.Config.Kind {
-	case KindSweep:
-		if len(r.Report) == 0 {
-			return fmt.Errorf("runlog: sweep record without a report")
-		}
-	case KindBench:
-		if len(r.Wall) == 0 {
-			return fmt.Errorf("runlog: bench record without wall numbers")
-		}
-	default:
-		return fmt.Errorf("runlog: record: kind %q (want %q or %q)", r.Config.Kind, KindSweep, KindBench)
+	if r.Config.Kind != KindSweep {
+		return fmt.Errorf("runlog: record: kind %q (want %q)", r.Config.Kind, KindSweep)
+	}
+	if len(r.Report) == 0 {
+		return fmt.Errorf("runlog: sweep record without a report")
 	}
 	if r.Config.Tool == "" {
 		return fmt.Errorf("runlog: record: empty config.tool")

@@ -170,6 +170,10 @@ func (s *Store) entriesLocked() ([]LedgerEntry, error) {
 //	last~N     N runs before the most recent
 //	<seq>      a ledger sequence number
 //	<id...>    a content-ID prefix (the most recent match wins)
+//
+// IDs are hex, so a ref can be both a number and an ID prefix: a
+// matching seq wins, and an all-digit ref that names no seq is tried as
+// a prefix.
 func (s *Store) Resolve(ref string) (LedgerEntry, error) {
 	entries, err := s.Entries()
 	if err != nil {
@@ -198,7 +202,6 @@ func (s *Store) Resolve(ref string) (LedgerEntry, error) {
 				return e, nil
 			}
 		}
-		return LedgerEntry{}, fmt.Errorf("runlog: no run with seq %d", seq)
 	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		if strings.HasPrefix(entries[i].ID, ref) {

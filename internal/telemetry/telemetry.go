@@ -269,7 +269,7 @@ func (r *Registry) SetWallString(name, v string) {
 }
 
 // MetricsSchema versions the metrics file format; MetricsTool is the
-// tool tag validators dispatch on.
+// tool tag that marks a metrics file, checked by ValidateMetrics.
 const (
 	MetricsSchema = 1
 	MetricsTool   = "telemetry-metrics"
@@ -336,7 +336,7 @@ func (r *Registry) MetricsJSON() ([]byte, error) {
 
 // ValidateMetrics checks that data is a well-formed metrics file:
 // correct schema and tool tag, no unknown fields, and a counters
-// section. The benchsnap validator dispatches here on the tool tag.
+// section. runlog.Load runs it on the metrics a run record embeds.
 func ValidateMetrics(data []byte) error {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()

@@ -155,7 +155,7 @@ func TestMetricsJSONValidates(t *testing.T) {
 
 	for name, bad := range map[string]string{
 		"wrong schema":  `{"schema": 9, "tool": "telemetry-metrics", "counters": {}}`,
-		"wrong tool":    `{"schema": 1, "tool": "benchsnap", "counters": {}}`,
+		"wrong tool":    `{"schema": 1, "tool": "runlog-record", "counters": {}}`,
 		"no counters":   `{"schema": 1, "tool": "telemetry-metrics"}`,
 		"unknown field": `{"schema": 1, "tool": "telemetry-metrics", "counters": {}, "bogus": 1}`,
 		"not json":      `]`,
