@@ -467,8 +467,9 @@ func BenchmarkFullReload(b *testing.B) {
 
 // TestFullReloadStaysCacheFree is the benchmark guard as a plain test, so
 // `go test` (not only -bench runs) pins the lazy allocation: a one-shot
-// process allocates neither cache, while a looping process still earns
-// both on its first re-executed address.
+// process allocates neither cache nor the stack pages it never writes,
+// while a looping process still earns both caches on its first
+// re-executed address.
 func TestFullReloadStaysCacheFree(t *testing.T) {
 	img, err := minc.Compile("victim", quickstartVictim, minc.Options{})
 	if err != nil {
@@ -478,15 +479,33 @@ func TestFullReloadStaysCacheFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &kernel.ScriptInput{[]byte("hello")}})
-	if err != nil {
-		t.Fatal(err)
+	loadRun := func() *kernel.Process {
+		t.Helper()
+		p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &kernel.ScriptInput{[]byte("hello")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Run(); st != cpu.Exited {
+			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		}
+		return p
 	}
-	if st := p.Run(); st != cpu.Exited {
-		t.Fatalf("state %v fault %v", st, p.CPU.Fault())
-	}
+	p := loadRun()
 	if dc, bc := p.CPU.CacheFootprint(); dc || bc {
 		t.Fatalf("one-shot run allocated caches (decode=%v block=%v)", dc, bc)
+	}
+
+	// Pages are demand-zero: the 64 KiB stack costs only the pages the
+	// run writes, so a whole load-and-run stays well under 64 KiB.
+	const loads = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < loads; i++ {
+		loadRun()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / loads; per >= 64<<10 {
+		t.Fatalf("one-shot load and run allocated %d bytes on average, want < %d", per, 64<<10)
 	}
 
 	// Control: the looping compute kernel re-executes addresses and must
@@ -935,9 +954,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkDecodeCacheMiss forces a full cache invalidation before every
-// step (a PokeWord bumps the memory's code generation), so each fetch
-// pays the byte-fetch + decode slow path.
+// BenchmarkDecodeCacheMiss invalidates the cached decode before every
+// step (a PokeWord bumps the code page's write stamp), so each fetch pays
+// the byte-fetch + decode slow path.
 func BenchmarkDecodeCacheMiss(b *testing.B) {
 	c := benchLoopCPU(b)
 	b.ReportAllocs()

@@ -5,10 +5,10 @@ package cpu
 // The stepping engine pays fetch dispatch, breakpoint and tracer tests,
 // policy binding, and a policy exec check on every instruction. None of
 // that work depends on anything but the instruction stream, which is
-// immutable between code-generation changes — so this engine lifts it to
+// immutable while its pages' write stamps hold — so this engine lifts it to
 // basic-block granularity: straight-line runs of decoded instructions
 // are built once, cached in a direct-mapped block cache keyed by
-// (pc, mem.CodeGen, per-page write stamps), and executed in a tight loop
+// (pc, per-page write stamps), and executed in a tight loop
 // that pays the per-instruction switch and nothing else.
 //
 // Per-block, once, at entry:
@@ -168,13 +168,12 @@ type BlockStats struct {
 }
 
 // bcEntry is one block-cache slot. Validity mirrors the decode cache —
-// tag, structural generation, span write stamps — plus the policy epoch
+// tag and span write stamps — plus the policy epoch
 // the block's summary was computed under. A slot whose tag matches but
 // whose block is empty is a pc in the hotness gate: heat counts step
 // visits, and the block is built when heat reaches blockHeat.
 type bcEntry struct {
 	tag  uint32
-	sgen uint64
 	pe   uint32
 	heat uint8
 	// exe counts dispatches of the built block (saturating) — the
@@ -216,8 +215,7 @@ const evictMiss = 4
 // blockValid reports whether e's stamps still describe the bytes at
 // e.tag. Only meaningful for entries holding a built block.
 func (c *CPU) blockValid(e *bcEntry) bool {
-	return e.sgen == c.Mem.CodeGen() && *e.w0 == e.g0 &&
-		(e.w1 == nil || *e.w1 == e.g1)
+	return *e.w0 == e.g0 && (e.w1 == nil || *e.w1 == e.g1)
 }
 
 // buildBlock decodes the basic block starting at pc into b, reusing b's
@@ -354,7 +352,6 @@ func (c *CPU) fillBlockEntry(e *bcEntry, pc uint32) bool {
 	if !c.buildBlock(pc, &e.blk) {
 		return false
 	}
-	e.sgen = c.Mem.CodeGen()
 	e.pe = c.polEpoch
 	e.ok = true
 	e.dataFree = false

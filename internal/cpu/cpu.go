@@ -202,22 +202,19 @@ const (
 )
 
 // dcEntry is one decode-cache slot. An entry is valid for address a iff
-// tag == a, sgen equals the memory's current structural code generation
-// (mem.CodeGen), the write stamps of the page(s) the instruction's bytes
-// span are unchanged (*w0 == g0, and *w1 == g1 when the instruction
-// crosses a page boundary), and in.Size is non-zero (zero Size marks a
-// never-filled slot, since no real instruction decodes to zero bytes).
-// Structural events — Map, Unmap, Protect — invalidate every entry at
-// once; content writes that could change code invalidate only the
-// entries spanning the written page (mem.CodeStamp).
+// tag == a, the write stamps of the page(s) the instruction's bytes span
+// are unchanged (*w0 == g0, and *w1 == g1 when the instruction crosses a
+// page boundary), and in.Size is non-zero (zero Size marks a never-filled
+// slot, since no real instruction decodes to zero bytes). Content writes
+// that could change code, Protect and Unmap invalidate only the entries
+// spanning the touched page (mem.CodeStamp).
 type dcEntry struct {
-	tag  uint32
-	sgen uint64
-	w0   *uint64
-	g0   uint64
-	w1   *uint64 // nil unless the instruction crosses a page boundary
-	g1   uint64
-	in   isa.Instr
+	tag uint32
+	w0  *uint64
+	g0  uint64
+	w1  *uint64 // nil unless the instruction crosses a page boundary
+	g1  uint64
+	in  isa.Instr
 }
 
 // CPU is one SM32 hardware thread. Create with New; the zero value is not
@@ -514,11 +511,10 @@ func (c *CPU) pop() (uint32, bool) {
 }
 
 // fetch returns the decoded instruction at IP, consulting the decode
-// cache. A hit requires the entry's structural generation and page write
-// stamps to be current, so any event that could have changed the bytes
-// at IP since the fill forces a fresh fetch — the cache can never serve
-// stale bytes to self-modifying code, code injection, or post-Protect
-// fetches.
+// cache. A hit requires the entry's page write stamps to be current, so
+// any event that could have changed the bytes at IP since the fill forces
+// a fresh fetch — the cache can never serve stale bytes to self-modifying
+// code, code injection, or post-Protect fetches.
 func (c *CPU) fetch() (isa.Instr, bool) {
 	if c.dcache == nil {
 		if !c.warm() {
@@ -529,9 +525,8 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 		}
 		c.dcache = make([]dcEntry, dcacheSize)
 	}
-	sgen := c.Mem.CodeGen()
 	e := &c.dcache[c.IP&(dcacheSize-1)]
-	if e.tag == c.IP && e.sgen == sgen && e.in.Size != 0 &&
+	if e.tag == c.IP && e.in.Size != 0 &&
 		*e.w0 == e.g0 && (e.w1 == nil || *e.w1 == e.g1) {
 		if c.DecodeStats != nil {
 			c.DecodeStats.Hits++
@@ -543,7 +538,7 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 	}
 	in, ok := c.fetchSlow()
 	if ok {
-		*e = dcEntry{tag: c.IP, sgen: sgen, in: in}
+		*e = dcEntry{tag: c.IP, in: in}
 		e.w0, e.g0 = c.Mem.CodeStamp(c.IP)
 		if last := c.IP + uint32(in.Size) - 1; last/mem.PageSize != c.IP/mem.PageSize {
 			e.w1, e.g1 = c.Mem.CodeStamp(last)

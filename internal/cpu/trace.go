@@ -35,9 +35,8 @@ package cpu
 // partial-retirement rule as blocks, so StepLimit fires at exactly the
 // same instruction.
 //
-// Invalidation mirrors blocks two-tier scheme exactly: a trace is keyed
-// on (entry pc, mem.CodeGen, per-member page write stamps, policy
-// epoch). Self-modifying code, Protect/Unmap, snapshot-restore rollbacks
+// Invalidation mirrors blocks exactly: a trace is keyed on (entry pc,
+// per-member page write stamps, policy epoch). Self-modifying code, Protect/Unmap, snapshot-restore rollbacks
 // and policy rebinds all move one of those, killing the trace at its
 // next probe or member boundary. Per-member policy span summaries are
 // composed from the same BlockCheckCompiler contract blocks use; a trace
@@ -72,13 +71,13 @@ const (
 // TraceStats counts trace-tier activity when installed on a CPU, the
 // trace-side analogue of BlockStats. Nil costs the dispatch path nothing.
 type TraceStats struct {
-	Formed     uint64 // traces recorded and installed in the cache
-	Aborts     uint64 // recordings abandoned (too short, unstable, refused)
-	Dispatches uint64 // trace cache hits entering superblock execution
+	Formed      uint64 // traces recorded and installed in the cache
+	Aborts      uint64 // recordings abandoned (too short, unstable, refused)
+	Dispatches  uint64 // trace cache hits entering superblock execution
 	Completions uint64 // full passes over a trace's member chain
-	LoopBacks  uint64 // loop traces re-entering themselves without re-dispatch
-	SideExits  uint64 // branch-direction guard misses (exit to block cache)
-	StaleExits uint64 // member stamp guard misses (trace invalidated)
+	LoopBacks   uint64 // loop traces re-entering themselves without re-dispatch
+	SideExits   uint64 // branch-direction guard misses (exit to block cache)
+	StaleExits  uint64 // member stamp guard misses (trace invalidated)
 	// MemberInstrs sums len(ins) over all members of formed traces;
 	// MemberInstrs/Formed is the mean superblock length in instructions.
 	MemberInstrs uint64
@@ -150,7 +149,6 @@ type tmember struct {
 // execute back to back, starting at start.
 type trace struct {
 	start uint32
-	sgen  uint64
 	pe    uint32
 	// pure marks a trace no member of which can write memory (no wmask
 	// bits, no stack-writing instructions): its members are validated
@@ -181,22 +179,21 @@ type tcEntry struct {
 type traceRec struct {
 	active bool
 	start  uint32
-	sgen   uint64
 	pe     uint32
 	pcs    []uint32
 }
 
 // memberValid reports whether m's page write stamps still describe the
-// bytes the member was built from (the structural generation and policy
-// epoch are trace-wide and checked at the cache probe; they cannot move
-// mid-trace because no trace contains an INT).
+// bytes the member was built from (the policy epoch is trace-wide and
+// checked at the cache probe; it cannot move mid-trace because no trace
+// contains an INT).
 func (c *CPU) memberValid(m *tmember) bool {
 	return *m.w0 == m.g0 && (m.w1 == nil || *m.w1 == m.g1)
 }
 
 // traceFor returns the valid cached trace starting at pc, or nil. Stale
-// traces (structural epoch or policy rebind) are dropped on probe so the
-// slot can re-form under the new regime.
+// traces (policy rebind) are dropped on probe so the slot can re-form
+// under the new regime.
 func (c *CPU) traceFor(pc uint32) *trace {
 	if c.tcache == nil {
 		return nil
@@ -206,7 +203,7 @@ func (c *CPU) traceFor(pc uint32) *trace {
 	if t == nil || e.tag != pc {
 		return nil
 	}
-	if t.sgen != c.Mem.CodeGen() || t.pe != c.polEpoch {
+	if t.pe != c.polEpoch {
 		e.tr = nil
 		return nil
 	}
@@ -345,12 +342,11 @@ func (c *CPU) recAfterBlock(pc uint32, e *bcEntry) {
 		}
 		r.active = true
 		r.start = pc
-		r.sgen = c.Mem.CodeGen()
 		r.pe = c.polEpoch
 		r.pcs = append(r.pcs[:0], pc)
 		return
 	}
-	if c.Mem.CodeGen() != r.sgen || c.polEpoch != r.pe || len(e.blk.ins) == 0 {
+	if c.polEpoch != r.pe || len(e.blk.ins) == 0 {
 		// The world changed under the recording (or the block
 		// self-invalidated mid-flight): the chain is not stable.
 		r.active = false
@@ -384,12 +380,11 @@ func (c *CPU) recAfterBlock(pc uint32, e *bcEntry) {
 func (c *CPU) finishRec() {
 	r := &c.rec
 	r.active = false
-	if len(r.pcs) < MinTraceBlocks ||
-		c.Mem.CodeGen() != r.sgen || c.polEpoch != r.pe {
+	if len(r.pcs) < MinTraceBlocks || c.polEpoch != r.pe {
 		c.statAbort()
 		return
 	}
-	t := &trace{start: r.start, sgen: r.sgen, pe: r.pe, pure: true, allDataFree: true}
+	t := &trace{start: r.start, pe: r.pe, pure: true, allDataFree: true}
 	for _, pc := range r.pcs {
 		var b Block
 		if !c.buildBlock(pc, &b) || len(b.ins) == 0 || excludedTraceTerm(&b) {

@@ -13,20 +13,25 @@
 // sequential and loop-heavy access patterns of the interpreter resolve
 // without walking the table.
 //
-// Code-cache invalidation is two-tier. The fine tier is a per-page write
-// generation, exposed through CodeStamp: it bumps on every event that
-// could change what executing code on that page means — content writes
-// that could change code (checked writes landing on an executable page,
-// LoadRaw, PokeWord), permission changes (Protect), the page being
-// unmapped or its backing object recycled, and checkpoint rollbacks. The
-// CPU's decode, block and trace caches record (stamp pointer, value)
-// pairs at fill time and treat any change as invalidation of exactly the
-// spans over that page. The coarse tier is the structural generation
-// counter (CodeGen), a whole-address-space epoch kept in every cache key:
-// it no longer moves on Map/Unmap/Protect — those events invalidate
-// precisely the pages they touch, through the fine tier — so the caches
-// stay warm across the map/unmap churn of a fuzzing campaign's heap, and
-// across snapshot restores that undo it.
+// Page bytes are demand-zero. A freshly mapped page reads through one
+// package-level zero array that nothing ever writes, and its first store
+// gives it a private 4 KiB array; every path that stores page bytes goes
+// through page.writable to get it. A process that maps a 64 KiB stack and
+// writes one page of it allocates one page. Each page keeps its own
+// header (permissions, checkpoint epoch, write stamp, dirty span), so the
+// code caches and the undo log see no difference between a page that
+// still shares the zero array and one that owns its bytes.
+//
+// Code-cache invalidation is per page. Each page has a write generation,
+// exposed through CodeStamp: it bumps on every event that could change
+// what executing code on that page means — content writes that could
+// change code (checked writes landing on an executable page, LoadRaw,
+// PokeWord), permission changes (Protect), the page being unmapped or its
+// backing object recycled, and checkpoint rollbacks. The CPU's decode,
+// block and trace caches record (stamp pointer, value) pairs at fill time
+// and treat any change as invalidation of exactly the spans over that
+// page, so the caches stay warm across the map/unmap churn of a fuzzing
+// campaign's heap, and across snapshot restores that undo it.
 package mem
 
 import "fmt"
@@ -116,8 +121,13 @@ func (f *Fault) Error() string {
 		f.Access, f.Kind, f.Addr, f.Have)
 }
 
+// zeroPage backs every page that has not been stored to yet. Nothing
+// writes it: page.writable swaps in a private array first.
+var zeroPage [PageSize]byte
+
 type page struct {
-	data [PageSize]byte
+	// data is &zeroPage until the page's first store; see writable.
+	data *[PageSize]byte
 	perm Perm
 	// seq stamps the checkpoint epoch this page was last saved under
 	// (see snapshot.go); zero means never saved.
@@ -146,9 +156,6 @@ type l2table [l2Size]*page
 type Memory struct {
 	l1     [l1Size]*l2table
 	npages int
-
-	// gen is the code generation counter; see CodeGen.
-	gen uint64
 
 	// One-entry translation cache: the page of the last successful
 	// lookup. lastPage == nil means the entry is invalid.
@@ -218,17 +225,6 @@ func (m *Memory) setPage(pn uint32, p *page) {
 	t[pn&l2Mask] = p
 }
 
-// CodeGen returns the structural code generation: the address-space
-// epoch every cached decode, block and trace is keyed under. The CPU's
-// caches treat any change as a full invalidation. Structural events no
-// longer move it — Map, Unmap and Protect invalidate exactly the pages
-// they touch by bumping those pages' write generations (see CodeStamp) —
-// so a cached decode is valid exactly while the generation it was filled
-// under and the write stamps of the pages it spans are both current. The
-// counter remains in the key as the full-flush reserve: an epoch change
-// invalidates everything at once without touching any page.
-func (m *Memory) CodeGen() uint64 { return m.gen }
-
 // CodeStamp returns the write-generation stamp for code at addr: a
 // pointer to the owning page's write-generation counter plus its current
 // value. A cached decode spanning addr is valid while the pointed-to
@@ -254,18 +250,30 @@ func (m *Memory) CodeStamp(addr uint32) (*uint64, uint64) {
 const maxFreePages = 512
 
 // allocPage returns a fresh zeroed page with the given permissions,
-// recycling from the page pool when possible.
+// recycling from the page pool when possible. A recycled page keeps its
+// private array, zeroed here; a new one starts on zeroPage.
 func (m *Memory) allocPage(perm Perm) *page {
 	if n := len(m.free); n > 0 {
 		p := m.free[n-1]
 		m.free[n-1] = nil
 		m.free = m.free[:n-1]
-		p.data = [PageSize]byte{}
+		if p.data != &zeroPage {
+			*p.data = [PageSize]byte{}
+		}
 		p.perm = perm
 		p.seq = 0
 		return p
 	}
-	return &page{perm: perm}
+	return &page{data: &zeroPage, perm: perm}
+}
+
+// writable returns p's bytes for a store, first giving the page a private
+// array if it still reads through zeroPage.
+func (p *page) writable() *[PageSize]byte {
+	if p.data == &zeroPage {
+		p.data = new([PageSize]byte)
+	}
+	return p.data
 }
 
 // releasePage retires a page leaving the address space: its write
@@ -404,7 +412,7 @@ func (m *Memory) Write8(addr uint32, v byte) error {
 		return err
 	}
 	m.touch(addr, 1, p)
-	p.data[addr&PageMask] = v
+	p.writable()[addr&PageMask] = v
 	if p.perm&X != 0 {
 		m.bumpStamp(p) // self-modifying code on a writable+executable page
 	}
@@ -455,10 +463,11 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 		}
 		m.touch(addr, 4, p)
 		o := addr & PageMask
-		p.data[o] = byte(v)
-		p.data[o+1] = byte(v >> 8)
-		p.data[o+2] = byte(v >> 16)
-		p.data[o+3] = byte(v >> 24)
+		d := p.writable()
+		d[o] = byte(v)
+		d[o+1] = byte(v >> 8)
+		d[o+2] = byte(v >> 16)
+		d[o+3] = byte(v >> 24)
 		if p.perm&X != 0 {
 			m.bumpStamp(p)
 		}
@@ -531,7 +540,7 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) (int, error) {
 			nc = rem
 		}
 		m.touch(a, uint32(nc), p)
-		copy(p.data[a&PageMask:], b[written:written+nc])
+		copy(p.writable()[a&PageMask:], b[written:written+nc])
 		if p.perm&X != 0 {
 			m.bumpStamp(p)
 		}
@@ -556,7 +565,7 @@ func (m *Memory) LoadRaw(addr uint32, b []byte) error {
 			nc = rem
 		}
 		m.touch(a, uint32(nc), p)
-		copy(p.data[a&PageMask:], b[off:off+nc])
+		copy(p.writable()[a&PageMask:], b[off:off+nc])
 		off += nc
 		m.bumpStamp(p)
 	}
@@ -611,17 +620,18 @@ func (m *Memory) PokeWord(addr uint32, v uint32) {
 		}
 		m.touch(addr, 4, p)
 		o := addr & PageMask
-		p.data[o] = byte(v)
-		p.data[o+1] = byte(v >> 8)
-		p.data[o+2] = byte(v >> 16)
-		p.data[o+3] = byte(v >> 24)
+		d := p.writable()
+		d[o] = byte(v)
+		d[o+1] = byte(v >> 8)
+		d[o+2] = byte(v >> 16)
+		d[o+3] = byte(v >> 24)
 		m.bumpStamp(p)
 		return
 	}
 	for i := uint32(0); i < 4; i++ {
 		if p := m.page(addr + i); p != nil {
 			m.touch(addr+i, 1, p)
-			p.data[(addr+i)&PageMask] = byte(v >> (8 * i))
+			p.writable()[(addr+i)&PageMask] = byte(v >> (8 * i))
 			m.bumpStamp(p)
 		}
 	}
@@ -668,10 +678,11 @@ func (m *Memory) Regions() []Region {
 
 // Clone returns a deep copy of the address space. Scenario runners use it
 // to replay attacks against identical initial states. The clone's
-// translation cache starts cold, its generation counter advances
+// translation cache starts cold, its pages' write stamps advance
 // independently of the original's, and it carries no active checkpoint.
+// Pages the original never stored to stay on zeroPage in the clone.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{npages: m.npages, gen: m.gen}
+	c := &Memory{npages: m.npages}
 	for hi, t := range m.l1 {
 		if t == nil {
 			continue
@@ -680,8 +691,11 @@ func (m *Memory) Clone() *Memory {
 		c.l1[hi] = nt
 		for lo, p := range t {
 			if p != nil {
-				np := &page{perm: p.perm}
-				np.data = p.data
+				np := &page{data: &zeroPage, perm: p.perm}
+				if p.data != &zeroPage {
+					np.data = new([PageSize]byte)
+					*np.data = *p.data
+				}
 				nt[lo] = np
 			}
 		}

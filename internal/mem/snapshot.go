@@ -112,7 +112,7 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 				cur = m.allocPage(u.perm)
 				m.setPage(pn, cur)
 				m.npages++
-				cur.data = u.data
+				*cur.writable() = u.data
 				cur.perm = u.perm
 				cur.seq = 0
 				m.bumpStamp(cur)
@@ -126,7 +126,7 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 			// AND the write-generation bump, keeping decodes, blocks and
 			// traces over it warm across the reset.
 			if cur.dlo < cur.dhi {
-				copy(cur.data[cur.dlo:cur.dhi], u.data[cur.dlo:cur.dhi])
+				copy(cur.writable()[cur.dlo:cur.dhi], u.data[cur.dlo:cur.dhi])
 				// The rollback rewrote this page's bytes: decodes cached
 				// against the mutated-run content must not survive.
 				m.bumpStamp(cur)
@@ -223,7 +223,7 @@ func (cp *Checkpoint) save(pn uint32, p *page) {
 		return
 	}
 	u := &undoPage{perm: p.perm}
-	u.data = p.data
+	u.data = *p.data
 	cp.pages[pn] = u
 }
 

@@ -19,95 +19,193 @@ func dumpSpace(t *testing.T, m *Memory) string {
 		if !ok {
 			t.Fatalf("region [%#x,+%#x) not fully readable", r.Addr, r.Size)
 		}
-		fmt.Fprintf(&b, "%08x+%x %s %x\n", r.Addr, r.Size, r.Perm, data)
+		fmt.Fprintf(&b, "%08x+%x %s\n", r.Addr, r.Size, r.Perm)
+		b.Write(data)
 	}
 	return b.String()
 }
 
-// mutateRandomly applies a batch of random mutations drawn from every
-// mutation path the Memory has: permission-checked writes, raw pokes and
-// loads, Protect, Unmap, and Map of fresh pages.
-func mutateRandomly(t *testing.T, m *Memory, rng *rand.Rand, base uint32) {
+// opStream feeds checkpointOps from a byte string; past its end every
+// read yields zero.
+type opStream []byte
+
+func (s *opStream) byte() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	c := (*s)[0]
+	*s = (*s)[1:]
+	return c
+}
+
+func (s *opStream) u32() uint32 {
+	return uint32(s.byte()) | uint32(s.byte())<<8 | uint32(s.byte())<<16 | uint32(s.byte())<<24
+}
+
+// addr picks an address in the 16-page window at base, sometimes within
+// the last bytes of a page so word and bulk stores cross into the next.
+func (s *opStream) addr(base uint32) uint32 {
+	pg := s.byte()
+	off := uint32(s.byte()) | uint32(s.byte())<<8
+	if pg&0x80 != 0 {
+		off = PageSize - 1 - off%8
+	}
+	return base + uint32(pg%16)*PageSize + off&PageMask
+}
+
+// pattern returns n bytes of non-constant content derived from seed.
+func pattern(seed byte, n int) []byte {
+	b := make([]byte, n)
+	x := uint32(seed)*2654435761 + 1
+	for i := range b {
+		x = x*1664525 + 1013904223
+		b[i] = byte(x >> 24)
+	}
+	return b
+}
+
+// checkZeroPage fails the test if anything wrote the shared zero array
+// that backs unwritten pages.
+func checkZeroPage(t *testing.T, what string) {
 	t.Helper()
-	for i := 0; i < 60; i++ {
-		addr := base + uint32(rng.Intn(16*PageSize))
-		switch rng.Intn(8) {
-		case 0:
-			m.Write8(addr, byte(rng.Intn(256))) // may fault: fine
-		case 1:
-			m.Write32(addr, rng.Uint32())
-		case 2:
-			m.PokeWord(addr, rng.Uint32())
-		case 3:
-			buf := make([]byte, 1+rng.Intn(2*PageSize))
-			rng.Read(buf)
-			m.WriteBytes(addr, buf)
-		case 4:
-			m.LoadRaw(addr&^uint32(PageMask), []byte{1, 2, 3, 4})
-		case 5:
-			pg := addr &^ uint32(PageMask)
-			m.Protect(pg, PageSize, Perm(1+rng.Intn(7)))
-		case 6:
-			pg := addr &^ uint32(PageMask)
-			m.Unmap(pg, PageSize)
-		case 7:
-			pg := addr &^ uint32(PageMask)
-			m.Map(pg, PageSize, RW) // fails on overlap: fine
+	if zeroPage != [PageSize]byte{} {
+		t.Fatalf("%s wrote the shared zero page", what)
+	}
+}
+
+// checkpointOps decodes data into a starting layout and a stream of
+// operations drawn from every mutation path the Memory has — checked
+// writes, raw pokes and loads, Protect, Unmap, Map, Clone — interleaved
+// with restores and re-checkpoints. After every restore the space must
+// be byte-identical to the checkpoint, and after every operation the
+// shared zero page must still be all zero.
+//
+// The layout maps some of 16 pages with random content, leaves some as
+// holes, and maps some without writing them, so operations and
+// checkpoints also meet pages that still read through the zero page.
+func checkpointOps(t *testing.T, data []byte) {
+	const (
+		base   = uint32(0x00400000)
+		maxOps = 256
+	)
+	s := opStream(data)
+	m := New()
+	for pn := uint32(0); pn < 16; pn++ {
+		b := s.byte()
+		if b&3 == 0 {
+			continue // a hole
+		}
+		pg := base + pn*PageSize
+		if err := m.Map(pg, PageSize, Perm(1+(b>>2)%7)); err != nil {
+			t.Fatal(err)
+		}
+		if b&3 == 1 {
+			continue // mapped, never written
+		}
+		if err := m.LoadRaw(pg, pattern(b, PageSize)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	checkZeroPage(t, "layout")
+	cp := m.Checkpoint()
+	want, wantRegions := dumpSpace(t, m), m.Regions()
+	restore := func(when string) {
+		t.Helper()
+		if err := m.Restore(cp); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		checkZeroPage(t, when)
+		if got := dumpSpace(t, m); got != want {
+			t.Fatalf("%s: space differs after restore", when)
+		}
+		if got := m.Regions(); !reflect.DeepEqual(got, wantRegions) {
+			t.Fatalf("%s: regions differ: %v vs %v", when, got, wantRegions)
+		}
+	}
+
+	for op := 0; op < maxOps && len(s) > 0; op++ {
+		code := s.byte() % 11
+		// Faults and overlapping maps are expected outcomes here: only
+		// the restored content is checked.
+		switch code {
+		case 0:
+			m.Write8(s.addr(base), s.byte())
+		case 1:
+			m.Write32(s.addr(base), s.u32())
+		case 2:
+			m.PokeWord(s.addr(base), s.u32())
+		case 3:
+			a, n := s.addr(base), 1+int(uint32(s.byte())|uint32(s.byte())<<8)%(2*PageSize)
+			m.WriteBytes(a, pattern(s.byte(), n))
+		case 4:
+			a, n := s.addr(base), 1+int(s.byte())
+			m.LoadRaw(a, pattern(s.byte(), n))
+		case 5:
+			m.Protect(s.addr(base)&^PageMask, PageSize, Perm(1+s.byte()%7))
+		case 6:
+			m.Unmap(s.addr(base)&^PageMask, PageSize)
+		case 7:
+			// A fresh page reads zero, recycled from the page pool or not.
+			a := s.addr(base) &^ PageMask
+			if m.Map(a, PageSize, Perm(1+s.byte()%7)) == nil {
+				if b, _ := m.PeekRaw(a, PageSize); [PageSize]byte(b) != [PageSize]byte{} {
+					t.Fatalf("op %d: freshly mapped page at %#x is not zero", op, a)
+				}
+			}
+		case 8:
+			// The clone must read the same, and storing into every one
+			// of its pages (zero-backed ones included) must reach
+			// neither the original nor the zero page.
+			c := m.Clone()
+			before := dumpSpace(t, m)
+			if dumpSpace(t, c) != before {
+				t.Fatalf("op %d: clone differs from its original", op)
+			}
+			off, v := s.addr(0)&PageMask, s.u32()
+			for _, r := range c.Regions() {
+				for a := r.Addr; a < r.Addr+r.Size; a += PageSize {
+					c.PokeWord(a+off, v)
+				}
+			}
+			if dumpSpace(t, m) != before {
+				t.Fatalf("op %d: a store into the clone reached the original", op)
+			}
+		case 9:
+			restore(fmt.Sprintf("op %d", op))
+		case 10:
+			cp = m.Checkpoint()
+			want, wantRegions = dumpSpace(t, m), m.Regions()
+		}
+		checkZeroPage(t, fmt.Sprintf("op %d (code %d)", op, code))
+	}
+	restore("final restore")
 }
 
 // TestCheckpointRestoreProperty is the snapshot/restore property test:
 // checkpoint, run an arbitrary mutation storm (including mapping and
-// permission changes), restore — the space must be byte-identical to the
-// checkpoint, over many independent seeds and repeated mutate/restore
-// rounds against the same checkpoint.
+// permission changes and clones), restore — the space must be
+// byte-identical to the checkpoint, over many independent seeds and
+// repeated mutate/restore rounds against the same checkpoint.
 func TestCheckpointRestoreProperty(t *testing.T) {
-	const base = uint32(0x00400000)
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := New()
-		// Random initial landscape: a handful of mapped runs with mixed
-		// permissions and random content.
-		for pn := 0; pn < 16; pn++ {
-			if rng.Intn(3) == 0 {
-				continue // leave a hole
-			}
-			pg := base + uint32(pn)*PageSize
-			if err := m.Map(pg, PageSize, Perm(1+rng.Intn(7))); err != nil {
-				t.Fatal(err)
-			}
-			buf := make([]byte, PageSize)
-			rng.Read(buf)
-			if err := m.LoadRaw(pg, buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cp := m.Checkpoint()
-		want := dumpSpace(t, m)
-		wantRegions := m.Regions()
-
-		for round := 0; round < 4; round++ {
-			mutateRandomly(t, m, rng, base)
-			if err := m.Restore(cp); err != nil {
-				t.Fatalf("seed %d round %d: %v", seed, round, err)
-			}
-			if got := dumpSpace(t, m); got != want {
-				t.Fatalf("seed %d round %d: space differs after restore", seed, round)
-			}
-			if got := m.Regions(); !reflect.DeepEqual(got, wantRegions) {
-				t.Fatalf("seed %d round %d: regions differ: %v vs %v", seed, round, got, wantRegions)
-			}
-		}
+		data := make([]byte, 2048)
+		rand.New(rand.NewSource(seed)).Read(data)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { checkpointOps(t, data) })
 	}
+}
+
+// FuzzCheckpointRestore runs checkpointOps on fuzzer-chosen operation
+// streams. Seed corpus: testdata/fuzz/FuzzCheckpointRestore.
+func FuzzCheckpointRestore(f *testing.F) {
+	f.Fuzz(checkpointOps)
 }
 
 // TestRestoreGenBehaviour pins the decode-cache contract across
 // divergent runs: structural events (Protect here) and the restore that
-// undoes them invalidate through the touched pages' write stamps, never
-// through the structural generation — one divergent run must not condemn
-// the rest of the campaign to cold caches, and pages the divergence
-// never touched keep their stamps through the whole cycle.
+// undoes them invalidate through the touched pages' write stamps only —
+// one divergent run must not condemn the rest of the campaign to cold
+// caches, and pages the divergence never touched keep their stamps
+// through the whole cycle.
 func TestRestoreGenBehaviour(t *testing.T) {
 	m := New()
 	if err := m.Map(0x1000, 2*PageSize, RW); err != nil {
@@ -115,15 +213,13 @@ func TestRestoreGenBehaviour(t *testing.T) {
 	}
 	cp := m.Checkpoint()
 
-	g0 := m.CodeGen()
+	// A data-only round first, so the divergent round below runs against
+	// a checkpoint that has already been through one restore.
 	if err := m.Write32(0x1004, 0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Restore(cp); err != nil {
 		t.Fatal(err)
-	}
-	if m.CodeGen() != g0 {
-		t.Fatalf("restore after data-only writes changed gen: %d -> %d", g0, m.CodeGen())
 	}
 
 	// A divergent round: Protect flips a page's permissions mid-run. The
@@ -151,9 +247,6 @@ func TestRestoreGenBehaviour(t *testing.T) {
 	}
 	if _, n := m.CodeStamp(0x2000); n != n0 {
 		t.Fatal("untouched page lost its stamp across a divergent round (cache needlessly cold)")
-	}
-	if m.CodeGen() != g0 {
-		t.Fatalf("divergent round moved CodeGen: %d -> %d (invalidation must stay per-page)", g0, m.CodeGen())
 	}
 }
 

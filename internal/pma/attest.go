@@ -152,10 +152,13 @@ func (h *Hardware) InstallAttestService(proc *kernel.Process, pol *Policy) {
 		noncePtr := p.CPU.Reg[isa.EBX]
 		nonceLen := p.CPU.Reg[isa.ECX]
 		outPtr := p.CPU.Reg[isa.EDX]
-		nonce, ok := p.Mem.PeekRaw(noncePtr, int(nonceLen))
-		if !ok {
+		// Check the whole range before PeekRaw allocates the copy: ECX
+		// is guest-chosen, and a junk length must cost an error, not a
+		// multi-gigabyte allocation.
+		if !p.Mem.CheckRange(noncePtr, nonceLen, 0) {
 			return fmt.Errorf("pma: attest: bad nonce range")
 		}
+		nonce, _ := p.Mem.PeekRaw(noncePtr, int(nonceLen))
 		report := h.Attest(p, *caller, nonce)
 		return p.Mem.LoadRaw(outPtr, report)
 	}

@@ -3,11 +3,14 @@ package pma
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"softsec/internal/asm"
 	"softsec/internal/attack"
 	"softsec/internal/cpu"
+	"softsec/internal/isa"
 	"softsec/internal/kernel"
 )
 
@@ -382,6 +385,31 @@ main:
 	var v *Violation
 	if !errors.As(p.CPU.Fault().Err, &v) || v.Rule != "attest-from-outside" {
 		t.Fatalf("fault %v", p.CPU.Fault())
+	}
+}
+
+// TestAttestRejectsHugeNonceBeforeCopy: the nonce length is
+// guest-chosen (ECX), so a length far beyond the mapped range must be
+// rejected before the service allocates a buffer of that size.
+func TestAttestRejectsHugeNonceBeforeCopy(t *testing.T) {
+	hw := NewHardware(1)
+	p, pol := protectedProcess(t, pinMain(1234))
+	hw.InstallAttestService(p, pol)
+	m := pol.Modules()[0]
+	p.CPU.IP = m.CodeStart
+	p.CPU.Reg[isa.EBX] = m.CodeStart
+	p.CPU.Reg[isa.ECX] = 256 << 20
+	p.CPU.Reg[isa.EDX] = m.CodeStart
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := p.Services[SysAttest](p)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "bad nonce range") {
+		t.Fatalf("err = %v, want bad nonce range", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("rejected nonce range allocated %d bytes", d)
 	}
 }
 
