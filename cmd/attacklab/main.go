@@ -60,6 +60,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "attacklab:", err)
 		os.Exit(2)
 	}
+	if err := sweep.CheckRunLog(); err != nil {
+		fmt.Fprintln(os.Stderr, "attacklab:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, a := range core.Attacks() {

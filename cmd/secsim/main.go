@@ -76,6 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "secsim:", err)
 		os.Exit(2)
 	}
+	if err := sweep.CheckRunLog(); err != nil {
+		fmt.Fprintln(os.Stderr, "secsim:", err)
+		os.Exit(2)
+	}
 
 	if *scen != "" && (sweep.Group != "" || sweep.List) {
 		fmt.Fprintln(os.Stderr, "secsim: -scenario is mutually exclusive with -group/-scenarios (one cell, one group, or a listing — not several)")

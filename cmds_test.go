@@ -226,6 +226,30 @@ main:
 			t.Fatalf("attacklab output:\n%s", out)
 		}
 	})
+	// A truncated run ledger is bad input: both sweep tools reject it
+	// with exit 2 and one line before running anything. (For secsim, exit
+	// 1 would read as "compromised".)
+	corrupt := filepath.Join(work, "corrupt_runs")
+	if err := os.MkdirAll(corrupt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corrupt, "ledger.jsonl"), []byte(`{"seq": 1, "id": "ab`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"secsim", []string{"-attack", "return-to-libc", "-dep", "-runlog", corrupt}},
+		{"attacklab", []string{"-group", "t1", "-trials", "2", "-runlog", corrupt}},
+	} {
+		t.Run(tc.tool+" corrupt run ledger exits 2", func(t *testing.T) {
+			out := runTool(t, bin, tc.tool, 2, tc.args...)
+			if want := tc.tool + ": runlog: ledger line 1: unexpected end of JSON input\n"; out != want {
+				t.Fatalf("%s output:\n%s\nwant:\n%s", tc.tool, out, want)
+			}
+		})
+	}
 	t.Run("secsim profile flips the canary cell", func(t *testing.T) {
 		// The CVE-2023-4039 shape end to end: the same attack under the
 		// same mitigation is detected on the classic layout (exit 0) and

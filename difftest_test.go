@@ -480,10 +480,10 @@ func TestDifferentialRestoreMidTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{
-		bytes.Repeat([]byte{0x41}, 32), // every branch taken
-		bytes.Repeat([]byte{0x30}, 32), // every branch fallen through
+		bytes.Repeat([]byte{0x41}, 32),                  // every branch taken
+		bytes.Repeat([]byte{0x30}, 32),                  // every branch fallen through
 		[]byte("A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0")[:32], // alternating
-		bytes.Repeat([]byte{0x41}, 32),                   // back to the first shape
+		bytes.Repeat([]byte{0x41}, 32),                  // back to the first shape
 	}
 	type cycle struct {
 		st    cpu.State

@@ -588,8 +588,8 @@ func buildLeakAssisted(r Recon, m Mitigations) kernel.InputSource {
 	// starting at buf, so every leak offset is "slot offset − buf offset"
 	// in the profile's frame. The same arithmetic gives the smash offsets.
 	f := r.Profile.Frame(m.Canary, 16, 4)
-	retOff := f.RetOffFrom(0)                   // buf → return address
-	canaryOff, crossed := f.CanaryOffFrom(0)    // buf → canary, if above buf
+	retOff := f.RetOffFrom(0)                // buf → return address
+	canaryOff, crossed := f.CanaryOffFrom(0) // buf → canary, if above buf
 	bufAddr := r.LocalAddr(f, 0)
 	step := 0
 	return kernel.InputFunc(func(max int, out []byte) []byte {

@@ -85,16 +85,16 @@ func loopProgram() []byte {
 	// layout below recomputed precisely in code.
 	var code []byte
 	add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
-	add(isa.Instr{Op: isa.MOVI, Rd: isa.ESI, Imm: 0})   // 0, size 5
-	add(isa.Instr{Op: isa.MOVI, Rd: isa.EDI, Imm: 25})  // 5, size 5
+	add(isa.Instr{Op: isa.MOVI, Rd: isa.ESI, Imm: 0})     // 0, size 5
+	add(isa.Instr{Op: isa.MOVI, Rd: isa.EDI, Imm: 25})    // 5, size 5
 	add(isa.Instr{Op: isa.CMP, Rd: isa.ESI, Rs: isa.EDI}) // 10, size 2
-	add(isa.Instr{Op: isa.JAE, Imm: 16})                // 12, size 5 -> target 33
-	add(isa.Instr{Op: isa.CALL, Imm: 12})               // 17, size 5 -> target 34
-	add(isa.Instr{Op: isa.ADDI, Rd: isa.ESI, Imm: 1})   // 22, size 6
-	add(isa.Instr{Op: isa.JMP, Imm: ^uint32(22)})       // 28, size 5 -> target 10
-	add(isa.Instr{Op: isa.HLT})                         // 33: done
+	add(isa.Instr{Op: isa.JAE, Imm: 16})                  // 12, size 5 -> target 33
+	add(isa.Instr{Op: isa.CALL, Imm: 12})                 // 17, size 5 -> target 34
+	add(isa.Instr{Op: isa.ADDI, Rd: isa.ESI, Imm: 1})     // 22, size 6
+	add(isa.Instr{Op: isa.JMP, Imm: ^uint32(22)})         // 28, size 5 -> target 10
+	add(isa.Instr{Op: isa.HLT})                           // 33: done
 	// body at 34: push/pop traffic then ret
-	add(isa.Instr{Op: isa.PUSH, Rd: isa.EAX})  // 34
+	add(isa.Instr{Op: isa.PUSH, Rd: isa.EAX}) // 34
 	add(isa.Instr{Op: isa.ADDI, Rd: isa.EAX, Imm: 3})
 	add(isa.Instr{Op: isa.POP, Rd: isa.ECX})
 	add(isa.Instr{Op: isa.RET})
@@ -163,16 +163,16 @@ func TestBlockSelfModify(t *testing.T) {
 		//  T+26 cmp edx, 0... (see below)
 		var code []byte
 		add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: 0})            // 0
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: textBase + 22}) // 5: imm byte of MOVI at 21
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 0x77})         // 10
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: 0})                // 0
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: textBase + 22})    // 5: imm byte of MOVI at 21
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 0x77})             // 10
 		add(isa.Instr{Op: isa.STOREB, Rd: isa.ECX, Rs: isa.EAX, Imm: 0}) // 15
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 0x11})         // 21: patched
-		add(isa.Instr{Op: isa.CMPI, Rd: isa.EDX, Imm: 1})            // 26
-		add(isa.Instr{Op: isa.JZ, Imm: 11})                          // 32 -> done at 48
-		add(isa.Instr{Op: isa.ADDI, Rd: isa.EDX, Imm: 1})            // 37
-		add(isa.Instr{Op: isa.JMP, Imm: ^uint32(42)})                // 43 -> loop at 5
-		add(isa.Instr{Op: isa.HLT})                                  // 48
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 0x11})             // 21: patched
+		add(isa.Instr{Op: isa.CMPI, Rd: isa.EDX, Imm: 1})                // 26
+		add(isa.Instr{Op: isa.JZ, Imm: 11})                              // 32 -> done at 48
+		add(isa.Instr{Op: isa.ADDI, Rd: isa.EDX, Imm: 1})                // 37
+		add(isa.Instr{Op: isa.JMP, Imm: ^uint32(42)})                    // 43 -> loop at 5
+		add(isa.Instr{Op: isa.HLT})                                      // 48
 		return newRWXMachine(t, code)
 	}
 	blk, _ := runBothEngines(t, mk, 1000)

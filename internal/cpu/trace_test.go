@@ -503,11 +503,11 @@ func TestTraceFaultMidChain(t *testing.T) {
 	// reaches zero: the IDIV faults mid-trace.
 	var code []byte
 	add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
-	add(isa.Instr{Op: isa.ADDI, Rd: isa.ESI, Imm: 1})       // 0
-	add(isa.Instr{Op: isa.JMP, Imm: 0})                     // 6, falls through
-	add(isa.Instr{Op: isa.SUBI, Rd: isa.EDX, Imm: 1})       // 11: edx counts down
-	add(isa.Instr{Op: isa.IDIV, Rd: isa.EAX, Rs: isa.EDX})  // 17: faults at edx==0
-	add(isa.Instr{Op: isa.JMP, Imm: ^uint32(19 + 5 - 1)})   // 19 -> 0
+	add(isa.Instr{Op: isa.ADDI, Rd: isa.ESI, Imm: 1})      // 0
+	add(isa.Instr{Op: isa.JMP, Imm: 0})                    // 6, falls through
+	add(isa.Instr{Op: isa.SUBI, Rd: isa.EDX, Imm: 1})      // 11: edx counts down
+	add(isa.Instr{Op: isa.IDIV, Rd: isa.EAX, Rs: isa.EDX}) // 17: faults at edx==0
+	add(isa.Instr{Op: isa.JMP, Imm: ^uint32(19 + 5 - 1)})  // 19 -> 0
 	mk := func(t *testing.T) *CPU {
 		c := newMachine(t, code)
 		c.Reg[isa.EDX] = 200 // plenty of passes to heat and trace first

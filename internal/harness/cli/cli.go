@@ -121,6 +121,21 @@ func (s *Sweep) ApplyEngine() error {
 	return nil
 }
 
+// CheckRunLog reads the -runlog ledger, so that a ledger the run's record
+// cannot be appended to fails before the sweep rather than after it. It
+// must be called after flag parsing; without -runlog it does nothing.
+func (s *Sweep) CheckRunLog() error {
+	if s.RunLog == "" {
+		return nil
+	}
+	st, err := runlog.Open(s.RunLog)
+	if err != nil {
+		return err
+	}
+	_, err = st.Entries()
+	return err
+}
+
 // Options converts the flag values into engine options.
 func (s *Sweep) Options() harness.Options {
 	return harness.Options{
@@ -276,7 +291,7 @@ func (s *Sweep) appendRunLog(rep *harness.Report, scs []harness.Scenario, elapse
 	}
 	e, err := st.Append(rec)
 	if err != nil {
-		return fmt.Errorf("runlog: %w", err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "runlog: appended run %d (%s) to %s\n", e.Seq, e.ID, s.RunLog)
 	return nil

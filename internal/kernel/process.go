@@ -351,9 +351,9 @@ func Load(ld *Linked, cfg Config) (*Process, error) {
 	if err := m.Map(layout.StackLow, layout.StackSize, dataPerm); err != nil {
 		return nil, fmt.Errorf("kernel: map stack: %w", err)
 	}
-	// Loader writes go through the raw paths, which bump the memory's code
-	// generation — any CPU decode cache over this address space starts (or
-	// restarts) cold, so the freshly loaded text is what executes.
+	// Loader writes go through the raw paths, which bump the per-page write
+	// stamps of every page they touch — any CPU code cache over these pages
+	// starts (or restarts) cold, so the freshly loaded text is what executes.
 	if err := m.LoadRaw(layout.Text, ld.Text); err != nil {
 		return nil, err
 	}

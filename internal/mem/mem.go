@@ -7,11 +7,11 @@
 // IV) are enforced by the CPU, which knows the current instruction pointer;
 // see internal/cpu.
 //
-// Storage is a two-level page table (1024 second-level tables of 1024
-// pages each, covering the 2^20 page numbers of the 32-bit space) plus a
-// one-entry translation cache remembering the last page hit, so the
-// sequential and loop-heavy access patterns of the interpreter resolve
-// without walking the table.
+// The page table is a short sorted list of extents, each a base page
+// number and one slot per page: a process maps a handful of contiguous
+// segments, not a sparse 2^20-page space. A one-entry translation cache
+// remembering the last page hit sits in front, so the sequential and
+// loop-heavy access patterns of the interpreter skip the extent scan.
 //
 // Page bytes are demand-zero. A freshly mapped page reads through one
 // package-level zero array that nothing ever writes, and its first store
@@ -34,7 +34,10 @@
 // campaign's heap, and across snapshot restores that undo it.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageSize is the granularity of mapping and protection, 4 KiB as on the
 // platforms the paper discusses.
@@ -43,13 +46,7 @@ const PageSize = 4096
 // PageMask extracts the page-offset bits of an address.
 const PageMask = PageSize - 1
 
-const (
-	pageShift = 12 // log2(PageSize)
-	l2Bits    = 10 // page-number bits resolved by a second-level table
-	l2Size    = 1 << l2Bits
-	l2Mask    = l2Size - 1
-	l1Size    = 1 << (32 - pageShift - l2Bits)
-)
+const pageShift = 12 // log2(PageSize)
 
 // Perm is a page-permission bit set.
 type Perm uint8
@@ -149,12 +146,19 @@ type page struct {
 	dlo, dhi uint32
 }
 
-type l2table [l2Size]*page
+// extent holds the slots of the pages numbered from base on. Merging or
+// regrowing slots never moves a page header, which CodeStamp points into.
+type extent struct {
+	base  uint32
+	pages []*page // nil is an unmapped page
+}
 
 // Memory is a sparse paged 32-bit address space. The zero value is an
 // empty address space ready to use.
 type Memory struct {
-	l1     [l1Size]*l2table
+	// ext is sorted by base, and no two extents touch. Extents never
+	// shrink: Unmap and Restore nil slots, which heap churn refills.
+	ext    []extent
 	npages int
 
 	// One-entry translation cache: the page of the last successful
@@ -185,22 +189,18 @@ type Memory struct {
 // New returns an empty address space.
 func New() *Memory { return &Memory{} }
 
-// page translates addr to its page, consulting the translation cache
-// first. It returns nil for unmapped addresses.
+// page translates addr to its page, or nil for an unmapped address. It
+// inlines: a translation-cache miss calls pageSlow, kept out of line.
 func (m *Memory) page(addr uint32) *page {
-	pn := addr >> pageShift
-	if pn == m.lastPN && m.lastPage != nil {
+	if addr>>pageShift == m.lastPN && m.lastPage != nil {
 		return m.lastPage
 	}
-	return m.pageSlow(pn)
+	return m.pageSlow(addr >> pageShift)
 }
 
+//go:noinline
 func (m *Memory) pageSlow(pn uint32) *page {
-	t := m.l1[pn>>l2Bits]
-	if t == nil {
-		return nil
-	}
-	p := t[pn&l2Mask]
+	p := m.pageAt(pn)
 	if p != nil {
 		m.lastPN, m.lastPage = pn, p
 	}
@@ -209,20 +209,46 @@ func (m *Memory) pageSlow(pn uint32) *page {
 
 // pageAt looks up page number pn without touching the translation cache.
 func (m *Memory) pageAt(pn uint32) *page {
-	t := m.l1[pn>>l2Bits]
-	if t == nil {
-		return nil
+	if s := m.slot(pn); s != nil {
+		return *s
 	}
-	return t[pn&l2Mask]
+	return nil
 }
 
-func (m *Memory) setPage(pn uint32, p *page) {
-	t := m.l1[pn>>l2Bits]
-	if t == nil {
-		t = new(l2table)
-		m.l1[pn>>l2Bits] = t
+// slot returns the table slot of page number pn, or nil when no extent
+// covers it.
+func (m *Memory) slot(pn uint32) **page {
+	for i := range m.ext {
+		e := &m.ext[i]
+		if off := pn - e.base; off < uint32(len(e.pages)) {
+			return &e.pages[off]
+		}
 	}
-	t[pn&l2Mask] = p
+	return nil
+}
+
+// cover makes one extent span page numbers [first, end) and returns their
+// slots. An extent that starts at or before first grows in place; else
+// the range and every extent it overlaps or touches merge into one.
+func (m *Memory) cover(first, end uint32) []*page {
+	lo, hi, i, j := first, end, 0, 0 // m.ext[i:j] overlap or touch the range
+	for k, e := range m.ext {
+		if top := e.base + uint32(len(e.pages)); top < first {
+			i, j = k+1, k+1
+		} else if e.base <= end {
+			lo, hi, j = min(lo, e.base), max(hi, top), k+1
+		}
+	}
+	if e := m.ext[i:j]; len(e) == 1 && e[0].base == lo {
+		e[0].pages = append(e[0].pages, make([]*page, hi-lo-uint32(len(e[0].pages)))...)
+		return e[0].pages[first-lo : end-lo]
+	}
+	slots := make([]*page, hi-lo)
+	for _, e := range m.ext[i:j] {
+		copy(slots[e.base-lo:], e.pages)
+	}
+	m.ext = slices.Replace(m.ext, i, j, extent{lo, slots})
+	return slots[first-lo : end-lo]
 }
 
 // CodeStamp returns the write-generation stamp for code at addr: a
@@ -249,10 +275,10 @@ func (m *Memory) CodeStamp(addr uint32) (*uint64, uint64) {
 // one-off giant mapping pin memory forever.
 const maxFreePages = 512
 
-// allocPage returns a fresh zeroed page with the given permissions,
-// recycling from the page pool when possible. A recycled page keeps its
-// private array, zeroed here; a new one starts on zeroPage.
-func (m *Memory) allocPage(perm Perm) *page {
+// allocPage returns a zeroed page with the given permissions, from the
+// page pool (keeping its private array, zeroed here) or else from the
+// header batch fresh, whose rest it returns; a new page reads zeroPage.
+func (m *Memory) allocPage(perm Perm, fresh []page) (*page, []page) {
 	if n := len(m.free); n > 0 {
 		p := m.free[n-1]
 		m.free[n-1] = nil
@@ -262,9 +288,14 @@ func (m *Memory) allocPage(perm Perm) *page {
 		}
 		p.perm = perm
 		p.seq = 0
-		return p
+		return p, fresh
 	}
-	return &page{data: &zeroPage, perm: perm}
+	if len(fresh) == 0 {
+		fresh = make([]page, 1)
+	}
+	p := &fresh[0]
+	p.data, p.perm = &zeroPage, perm
+	return p, fresh[1:]
 }
 
 // writable returns p's bytes for a store, first giving the page a private
@@ -278,11 +309,13 @@ func (p *page) writable() *[PageSize]byte {
 
 // releasePage retires a page leaving the address space: its write
 // generation is bumped so no cached code stamp into it can validate
-// again, and the object enters the page pool for the next Map.
+// again, and it enters the page pool for the next Map, if there is room.
 func (m *Memory) releasePage(p *page) {
 	m.bumpStamp(p)
 	if len(m.free) < maxFreePages {
 		m.free = append(m.free, p)
+	} else {
+		p.data = &zeroPage // its header batch may outlive it
 	}
 }
 
@@ -306,10 +339,14 @@ func (m *Memory) Map(addr, size uint32, perm Perm) error {
 				addr, size, (first+i)*PageSize)
 		}
 	}
-	for i := uint32(0); i < n; i++ {
-		p := m.allocPage(perm)
+	slots := m.cover(first, first+n)
+	// The headers the page pool cannot supply come from one allocation.
+	fresh := make([]page, max(0, int(n)-len(m.free)))
+	for i := range slots {
+		var p *page
+		p, fresh = m.allocPage(perm, fresh)
 		if m.snap != nil {
-			m.snap.saveAbsent(first + i)
+			m.snap.saveAbsent(first + uint32(i))
 			p.seq = m.snap.seq
 			// If this pn already has a content entry in the undo log
 			// (the run unmapped a checkpoint page and is remapping the
@@ -318,7 +355,7 @@ func (m *Memory) Map(addr, size uint32, perm Perm) error {
 			// the whole page back.
 			p.dlo, p.dhi = 0, PageSize
 		}
-		m.setPage(first+i, p)
+		slots[i] = p
 	}
 	m.npages += int(n)
 	return nil
@@ -336,7 +373,7 @@ func (m *Memory) Unmap(addr, size uint32) error {
 			if m.snap != nil && p.seq != m.snap.seq {
 				m.snap.save(first+i, p)
 			}
-			m.setPage(first+i, nil)
+			*m.slot(first + i) = nil
 			m.npages--
 			m.releasePage(p)
 		}
@@ -647,22 +684,18 @@ type Region struct {
 // Regions returns the mapped regions sorted by address, coalescing adjacent
 // pages with identical permissions. Used by the figure renderer and by the
 // memory-scraping attacker, which walks exactly this view of the address
-// space. The two-level table is walked in index order, which is address
-// order — no sorting pass.
+// space; the sorted extents' slots are in address order, so no sort pass.
 func (m *Memory) Regions() []Region {
 	if m.npages == 0 {
 		return nil
 	}
 	var out []Region
-	for hi, t := range m.l1 {
-		if t == nil {
-			continue
-		}
-		for lo, p := range t {
+	for _, e := range m.ext {
+		for i, p := range e.pages {
 			if p == nil {
 				continue
 			}
-			addr := (uint32(hi)<<l2Bits | uint32(lo)) << pageShift
+			addr := (e.base + uint32(i)) << pageShift
 			if len(out) > 0 {
 				last := &out[len(out)-1]
 				if last.Addr+last.Size == addr && last.Perm == p.perm {
@@ -674,31 +707,4 @@ func (m *Memory) Regions() []Region {
 		}
 	}
 	return out
-}
-
-// Clone returns a deep copy of the address space. Scenario runners use it
-// to replay attacks against identical initial states. The clone's
-// translation cache starts cold, its pages' write stamps advance
-// independently of the original's, and it carries no active checkpoint.
-// Pages the original never stored to stay on zeroPage in the clone.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{npages: m.npages}
-	for hi, t := range m.l1 {
-		if t == nil {
-			continue
-		}
-		nt := new(l2table)
-		c.l1[hi] = nt
-		for lo, p := range t {
-			if p != nil {
-				np := &page{data: &zeroPage, perm: p.perm}
-				if p.data != &zeroPage {
-					np.data = new([PageSize]byte)
-					*np.data = *p.data
-				}
-				nt[lo] = np
-			}
-		}
-	}
-	return c
 }

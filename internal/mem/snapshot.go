@@ -104,13 +104,14 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 		if !logged {
 			continue // duplicate dirty record whose entry was consumed
 		}
-		cur := m.pageAt(pn)
+		s := m.slot(pn) // extents never shrink, so the slot exists
+		cur := *s
 		if u != nil {
 			if cur == nil {
 				// The run unmapped a checkpoint page: recreate it whole
 				// (the replacement page carries no dirty span).
-				cur = m.allocPage(u.perm)
-				m.setPage(pn, cur)
+				cur, _ = m.allocPage(u.perm, nil)
+				*s = cur
 				m.npages++
 				*cur.writable() = u.data
 				cur.perm = u.perm
@@ -142,7 +143,7 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 			cur.seq = 0
 		} else {
 			if cur != nil {
-				m.setPage(pn, nil)
+				*s = nil
 				m.npages--
 				// Retiring the run-created page bumps its write stamp, so
 				// decodes cached against code injected into it die, and

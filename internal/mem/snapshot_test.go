@@ -73,12 +73,40 @@ func checkZeroPage(t *testing.T, what string) {
 	}
 }
 
+// checkExtents fails the test unless m's page table is well formed: the
+// extents are sorted, no two touch or overlap, their non-nil slots
+// number exactly the mapped pages, and a valid translation-cache entry
+// holds the page the table maps there.
+func checkExtents(t *testing.T, m *Memory, what string) {
+	t.Helper()
+	if m.lastPage != nil && m.pageAt(m.lastPN) != m.lastPage {
+		t.Fatalf("%s: translation cache holds a stale page at %#x", what, m.lastPN<<pageShift)
+	}
+	n := 0
+	for i, e := range m.ext {
+		if i > 0 {
+			if prev := m.ext[i-1]; prev.base+uint32(len(prev.pages)) >= e.base {
+				t.Fatalf("%s: extent at page %#x touches or overlaps the one at %#x", what, e.base, prev.base)
+			}
+		}
+		for _, p := range e.pages {
+			if p != nil {
+				n++
+			}
+		}
+	}
+	if n != m.npages {
+		t.Fatalf("%s: %d pages in the extents, npages %d", what, n, m.npages)
+	}
+}
+
 // checkpointOps decodes data into a starting layout and a stream of
 // operations drawn from every mutation path the Memory has — checked
-// writes, raw pokes and loads, Protect, Unmap, Map, Clone — interleaved
-// with restores and re-checkpoints. After every restore the space must
-// be byte-identical to the checkpoint, and after every operation the
-// shared zero page must still be all zero.
+// writes, raw pokes and loads, Protect, Unmap, single- and multi-page
+// Map — interleaved with restores and re-checkpoints. After every
+// restore the space must be byte-identical to the checkpoint, and after
+// every operation the shared zero page must still be all zero and the
+// extents well formed.
 //
 // The layout maps some of 16 pages with random content, leaves some as
 // holes, and maps some without writing them, so operations and
@@ -115,6 +143,7 @@ func checkpointOps(t *testing.T, data []byte) {
 			t.Fatalf("%s: %v", when, err)
 		}
 		checkZeroPage(t, when)
+		checkExtents(t, m, when)
 		if got := dumpSpace(t, m); got != want {
 			t.Fatalf("%s: space differs after restore", when)
 		}
@@ -153,22 +182,13 @@ func checkpointOps(t *testing.T, data []byte) {
 				}
 			}
 		case 8:
-			// The clone must read the same, and storing into every one
-			// of its pages (zero-backed ones included) must reach
-			// neither the original nor the zero page.
-			c := m.Clone()
-			before := dumpSpace(t, m)
-			if dumpSpace(t, c) != before {
-				t.Fatalf("op %d: clone differs from its original", op)
-			}
-			off, v := s.addr(0)&PageMask, s.u32()
-			for _, r := range c.Regions() {
-				for a := r.Addr; a < r.Addr+r.Size; a += PageSize {
-					c.PokeWord(a+off, v)
+			// A 1–4 page Map adjoins, bridges or overlaps mapped pages
+			// and holes, so extents grow and merge (or the Map fails).
+			a, n := s.addr(base)&^PageMask, 1+int(s.byte()%4)
+			if m.Map(a, uint32(n)*PageSize, Perm(1+s.byte()%7)) == nil {
+				if b, _ := m.PeekRaw(a, n*PageSize); !bytes.Equal(b, make([]byte, n*PageSize)) {
+					t.Fatalf("op %d: freshly mapped pages at %#x are not zero", op, a)
 				}
-			}
-			if dumpSpace(t, m) != before {
-				t.Fatalf("op %d: a store into the clone reached the original", op)
 			}
 		case 9:
 			restore(fmt.Sprintf("op %d", op))
@@ -176,14 +196,16 @@ func checkpointOps(t *testing.T, data []byte) {
 			cp = m.Checkpoint()
 			want, wantRegions = dumpSpace(t, m), m.Regions()
 		}
-		checkZeroPage(t, fmt.Sprintf("op %d (code %d)", op, code))
+		what := fmt.Sprintf("op %d (code %d)", op, code)
+		checkZeroPage(t, what)
+		checkExtents(t, m, what)
 	}
 	restore("final restore")
 }
 
 // TestCheckpointRestoreProperty is the snapshot/restore property test:
 // checkpoint, run an arbitrary mutation storm (including mapping and
-// permission changes and clones), restore — the space must be
+// permission changes), restore — the space must be
 // byte-identical to the checkpoint, over many independent seeds and
 // repeated mutate/restore rounds against the same checkpoint.
 func TestCheckpointRestoreProperty(t *testing.T) {
@@ -198,6 +220,39 @@ func TestCheckpointRestoreProperty(t *testing.T) {
 // streams. Seed corpus: testdata/fuzz/FuzzCheckpointRestore.
 func FuzzCheckpointRestore(f *testing.F) {
 	f.Fuzz(checkpointOps)
+}
+
+// TestHeapChurnAllocatesNothing pins what keeps a fuzz campaign's
+// per-exec sbrk churn free of allocation: Restore returns the pages a run
+// mapped to the page pool and leaves their slots in the heap's extent,
+// so the next run's Map refills both without allocating.
+func TestHeapChurnAllocatesNothing(t *testing.T) {
+	const text, heap, stack = 0x00400000, 0x00800000, 0xBFFF0000
+	m := New()
+	mustMap(t, m, text, PageSize, RX)
+	mustMap(t, m, stack, 16*PageSize, RW)
+	cp := m.Checkpoint()
+	cycle := func() {
+		for i := uint32(0); i < 6; i++ {
+			a := heap + i*PageSize
+			if err := m.Map(a, PageSize, RW); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Write32(a+8, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Write32(stack+16*PageSize-16, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun makes one warm-up cycle before it counts.
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a map-write-restore cycle allocates %v times, want 0", n)
+	}
 }
 
 // TestRestoreGenBehaviour pins the decode-cache contract across

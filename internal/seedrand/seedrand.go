@@ -10,9 +10,13 @@
 // (one ASLR layout or one canary draw) pays all of that to read one or
 // two words. Here word i is computed the first time a draw reads it, as
 // the constant XOR three values 48271ⁿ·x₀ mod (2³¹−1), each one multiply
-// by a precomputed power. Every draw reads two words, so a source that
-// is drawn k times computes at most 2k of them; after 334 draws every
-// word has been computed and the source runs exactly as math/rand's.
+// by a precomputed power. Draw k adds words 334−k and 607−k, and for
+// k ≤ 273 no earlier draw wrote either, so the first 273 draws need no
+// state at all: a generator that serves one ASLR layout or one canary
+// allocates 72 bytes, not math/rand's 5,376-byte source. Draw 274 reads
+// a word draw 1 wrote, so the source then allocates the 607 words once,
+// replays the first 273 draws into them and computes each word on its
+// first read; after 334 draws it runs exactly as math/rand's.
 //
 // The 607 constants are not copied from math/rand. init recovers them
 // from math/rand's own first 607 outputs for one seed, so math/rand stays
@@ -49,24 +53,18 @@ func New(seed int64) *rand.Rand {
 	return rand.New(s)
 }
 
-// source is math/rand's rngSource with state words computed on first
-// use. It is no larger than rngSource.
+// source serves a stream's first rngTap draws from seed-time words and
+// the rest from a state allocated on draw rngTap+1.
 type source struct {
-	tap, feed int
-	// lazy counts the draws left that read a word for the first time.
-	lazy int
-	x0   uint64 // the normalized seed, the Lehmer generator's start
-	vec  [rngLen]int64
+	x0    uint64 // the normalized seed, the Lehmer generator's start
+	drawn int    // draws served, counted up to rngTap+1
+	st    *state // kept across Seed, so a reseeded stream allocates once
 }
 
-// Seed resets the source to the start of seed's stream. Words of the
-// previous stream are never read again: each is recomputed before its
-// first read.
+// Seed resets the source to the start of seed's stream.
 func (s *source) Seed(seed int64) {
-	s.tap = 0
-	s.feed = rngLen - rngTap
-	s.lazy = lazyDraws
 	s.x0 = uint64(normalize(seed))
+	s.drawn = 0
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer.
@@ -76,32 +74,79 @@ func (s *source) Int63() int64 {
 
 // Uint64 returns a pseudo-random 64-bit integer.
 func (s *source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
+	if s.drawn <= rngTap {
+		return s.short()
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
+	st := s.st
+	st.tap--
+	if st.tap < 0 {
+		st.tap += rngLen
 	}
-	if s.lazy > 0 {
-		s.firstReads()
+	st.feed--
+	if st.feed < 0 {
+		st.feed += rngLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	if st.lazy > 0 {
+		st.firstReads()
+	}
+	x := st.vec[st.feed] + st.vec[st.tap]
+	st.vec[st.feed] = x
 	return uint64(x)
+}
+
+// short serves draws 1 to rngTap from seed-time words. Draw rngTap+1
+// switches the source to its state: allocated once, then brought up to
+// date by replaying the first rngTap draws.
+func (s *source) short() uint64 {
+	s.drawn++
+	if s.drawn <= rngTap {
+		return uint64(word(lazyDraws-s.drawn, s.x0) + word(rngLen-s.drawn, s.x0))
+	}
+	if s.st == nil {
+		s.st = new(state)
+	}
+	s.st.seed(s.x0)
+	for range rngTap {
+		s.Uint64()
+	}
+	return s.Uint64()
+}
+
+// state is math/rand's rngSource with state words computed on first
+// use.
+type state struct {
+	tap, feed int
+	// lazy counts the draws left that read a word for the first time.
+	lazy int
+	x0   uint64
+	vec  [rngLen]int64
+}
+
+// seed resets the state to the start of x0's stream. Words of the
+// previous stream are never read again: each is recomputed before its
+// first read.
+func (s *state) seed(x0 uint64) {
+	s.tap = 0
+	s.feed = rngLen - rngTap
+	s.lazy = lazyDraws
+	s.x0 = x0
 }
 
 // firstReads computes the words the current draw reads for the first
 // time. On draw k (1-based) the feed word 334−k is always fresh; the tap
 // word 607−k is fresh for k ≤ 273 and was written as a feed word 273
 // draws earlier after that.
-func (s *source) firstReads() {
+func (s *state) firstReads() {
 	if s.lazy > lazyDraws-rngTap {
-		s.vec[s.tap] = cooked[s.tap] ^ lehmerPart(s.tap, s.x0)
+		s.vec[s.tap] = word(s.tap, s.x0)
 	}
-	s.vec[s.feed] = cooked[s.feed] ^ lehmerPart(s.feed, s.x0)
+	s.vec[s.feed] = word(s.feed, s.x0)
 	s.lazy--
+}
+
+// word is state word i as seeding leaves it.
+func word(i int, x0 uint64) int64 {
+	return cooked[i] ^ lehmerPart(i, x0)
 }
 
 // lehmerPart is the seed-dependent part of state word i: the three

@@ -98,26 +98,46 @@ func TestReseedMidStream(t *testing.T) {
 	}
 }
 
+// bytesPerCall returns the bytes f allocates on average over 1,000 calls.
+func bytesPerCall(f func()) uint64 {
+	const n = 1000
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&b)
+	return (b.TotalAlloc - a.TotalAlloc) / n
+}
+
 // TestSourceNoLargerThanMathRand checks that a generator allocates no
 // more than the math/rand one it replaces.
 func TestSourceNoLargerThanMathRand(t *testing.T) {
-	const n = 1000
-	perNew := func(f func()) uint64 {
-		var a, b runtime.MemStats
-		runtime.ReadMemStats(&a)
-		for i := 0; i < n; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&b)
-		return (b.TotalAlloc - a.TotalAlloc) / n
-	}
-	ours := perNew(func() { sinkRand = New(42) })
-	theirs := perNew(func() { sinkRand = rand.New(rand.NewSource(42)) })
+	ours := bytesPerCall(func() { sinkRand = New(42) })
+	theirs := bytesPerCall(func() { sinkRand = rand.New(rand.NewSource(42)) })
 	if theirs == 0 {
 		t.Fatal("measured no allocation")
 	}
 	if ours > theirs {
 		t.Errorf("New allocates %d B, math/rand %d B", ours, theirs)
+	}
+}
+
+// TestShortStreamAllocatesNoState checks that a generator drawn at most
+// rngTap times, as an ASLR layout or a canary is, never allocates the
+// 607-word state: only the generator itself, which the sink makes
+// escape.
+func TestShortStreamAllocatesNoState(t *testing.T) {
+	seed := int64(0)
+	got := bytesPerCall(func() {
+		seed++
+		sinkRand = New(seed)
+		for range rngTap {
+			sinkInt63 = sinkRand.Int63()
+		}
+	})
+	if got > 128 {
+		t.Errorf("New plus %d draws allocates %d B, want at most 128", rngTap, got)
 	}
 }
 
