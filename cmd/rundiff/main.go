@@ -115,7 +115,7 @@ func loadPair(dir string, args []string) (a, b *runlog.Record, err error) {
 		}
 		return a, b, nil
 	}
-	st, err := runlog.Open(dir)
+	st, err := openLedger(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,8 +160,17 @@ func loadFile(path string) (*runlog.Record, error) {
 	return r, nil
 }
 
+// openLedger opens an existing ledger directory. rundiff only reads, so
+// a missing directory is bad input, not a new empty ledger.
+func openLedger(dir string) (*runlog.Store, error) {
+	if _, err := os.Stat(dir); err != nil {
+		return nil, err
+	}
+	return runlog.Open(dir), nil
+}
+
 func printLedger(dir string) error {
-	st, err := runlog.Open(dir)
+	st, err := openLedger(dir)
 	if err != nil {
 		return err
 	}

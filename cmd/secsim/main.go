@@ -68,15 +68,7 @@ func main() {
 	)
 	sweep.Register(flag.CommandLine, 42)
 	flag.Parse()
-	if err := sweep.ApplyEngine(); err != nil {
-		fmt.Fprintln(os.Stderr, "secsim:", err)
-		os.Exit(2)
-	}
-	if _, err := sweep.LayoutProfile(); err != nil {
-		fmt.Fprintln(os.Stderr, "secsim:", err)
-		os.Exit(2)
-	}
-	if err := sweep.CheckRunLog(); err != nil {
+	if err := sweep.Check(); err != nil {
 		fmt.Fprintln(os.Stderr, "secsim:", err)
 		os.Exit(2)
 	}

@@ -250,6 +250,36 @@ main:
 			}
 		})
 	}
+	// Bad sweep flag values are caught right after flag parsing: exit 2
+	// and one line, before any header prints or any trial runs, whether
+	// or not the command line asks for a sweep.
+	badProgress := `unknown -progress "bogus" (want auto, on, or off)`
+	for _, tc := range []struct {
+		name, tool string
+		args       []string
+		want       string
+	}{
+		{"secsim bad -progress exits 2 before the sweep", "secsim",
+			[]string{"-progress", "bogus", "-trials", "2", "-attack", "return-to-libc"}, badProgress},
+		{"attacklab bad -progress exits 2 before the sweep", "attacklab",
+			[]string{"-progress", "bogus", "-group", "t3"}, badProgress},
+		{"secsim bad -progress exits 2 without a sweep", "secsim",
+			[]string{"-progress", "bogus"}, badProgress},
+		{"attacklab bad -progress exits 2 without a sweep", "attacklab",
+			[]string{"-progress", "bogus"}, badProgress},
+		{"secsim -trials 0 exits 2", "secsim",
+			[]string{"-trials", "0"}, "-trials 0: want at least 1"},
+		{"secsim -trials -3 exits 2", "secsim",
+			[]string{"-trials", "-3", "-attack", "return-to-libc"}, "-trials -3: want at least 1"},
+		{"attacklab -trials 0 exits 2", "attacklab",
+			[]string{"-trials", "0", "-group", "t3"}, "-trials 0: want at least 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {
+				t.Fatalf("%s output:\n%s\nwant:\n%s", tc.tool, out, want)
+			}
+		})
+	}
 	t.Run("secsim profile flips the canary cell", func(t *testing.T) {
 		// The CVE-2023-4039 shape end to end: the same attack under the
 		// same mitigation is detected on the classic layout (exit 0) and
@@ -445,6 +475,20 @@ main:
 		out = runTool(t, bin, "rundiff", 2, bad, filepath.Join(runs, "records", "000001.json"))
 		if !strings.Contains(out, `kind "bench"`) {
 			t.Fatalf("rundiff output:\n%s", out)
+		}
+	})
+	t.Run("rundiff missing ledger exits 2 and creates nothing", func(t *testing.T) {
+		// rundiff only reads: a mistyped -dir is bad input in both modes,
+		// not a new empty ledger left behind on disk.
+		missing := filepath.Join(work, "no_such_runs")
+		for _, args := range [][]string{{"-dir", missing, "-list"}, {"-dir", missing}} {
+			out := runTool(t, bin, "rundiff", 2, args...)
+			if want := "rundiff: stat " + missing + ": no such file or directory\n"; out != want {
+				t.Fatalf("rundiff %v output:\n%s\nwant:\n%s", args, out, want)
+			}
+		}
+		if _, err := os.Stat(missing); !os.IsNotExist(err) {
+			t.Fatalf("rundiff created %s (stat: %v)", missing, err)
 		}
 	})
 }

@@ -97,17 +97,32 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 	s.tool = filepath.Base(fs.Name())
 }
 
-// LayoutProfile resolves the -profile selection. It must be called after
-// flag parsing; an unknown profile name is an error, mirroring the
-// unknown-group and unknown-engine behavior.
-func (s *Sweep) LayoutProfile() (*layout.Profile, error) {
-	return layout.ByName(s.Profile)
+// Check validates the parsed flag values and pins the execution tier, so
+// that bad input fails with one line before anything is printed or run:
+// -trials below 1, an unknown -progress mode, layout profile or engine,
+// or a -runlog ledger the run's record could not be appended to. Both
+// sweep binaries call it right after flag parsing and exit 2 on error.
+func (s *Sweep) Check() error {
+	if s.Trials < 1 {
+		return fmt.Errorf("-trials %d: want at least 1", s.Trials)
+	}
+	if _, err := s.progressConfig(); err != nil {
+		return err
+	}
+	if _, err := layout.ByName(s.Profile); err != nil {
+		return err
+	}
+	if s.RunLog != "" {
+		if _, err := runlog.Open(s.RunLog).Entries(); err != nil {
+			return err
+		}
+	}
+	return s.applyEngine()
 }
 
-// ApplyEngine pins the package-wide execution-tier switches to the
-// -engine selection. It must be called after flag parsing and before any
-// simulation runs; an unknown tier name is an error.
-func (s *Sweep) ApplyEngine() error {
+// applyEngine pins the package-wide execution-tier switches to the
+// -engine selection; an unknown tier name is an error.
+func (s *Sweep) applyEngine() error {
 	switch s.Engine {
 	case "step":
 		cpu.UseBlockEngine, cpu.UseTraceEngine = false, false
@@ -119,21 +134,6 @@ func (s *Sweep) ApplyEngine() error {
 		return fmt.Errorf("unknown -engine %q (want step, block, or trace)", s.Engine)
 	}
 	return nil
-}
-
-// CheckRunLog reads the -runlog ledger, so that a ledger the run's record
-// cannot be appended to fails before the sweep rather than after it. It
-// must be called after flag parsing; without -runlog it does nothing.
-func (s *Sweep) CheckRunLog() error {
-	if s.RunLog == "" {
-		return nil
-	}
-	st, err := runlog.Open(s.RunLog)
-	if err != nil {
-		return err
-	}
-	_, err = st.Entries()
-	return err
 }
 
 // Options converts the flag values into engine options.
@@ -257,10 +257,6 @@ func (s *Sweep) appendRunLog(rep *harness.Report, scs []harness.Scenario, elapse
 	if s.RunLog == "" {
 		return nil
 	}
-	st, err := runlog.Open(s.RunLog)
-	if err != nil {
-		return err
-	}
 	reportJSON, err := rep.JSON()
 	if err != nil {
 		return err
@@ -289,7 +285,7 @@ func (s *Sweep) appendRunLog(rep *harness.Report, scs []harness.Scenario, elapse
 	if elapsedSec > 0 {
 		rec.Wall["trials_per_sec"] = float64(rep.Trials*len(rep.Cells)) / elapsedSec
 	}
-	e, err := st.Append(rec)
+	e, err := runlog.Open(s.RunLog).Append(rec)
 	if err != nil {
 		return err
 	}

@@ -58,17 +58,17 @@ func TestApplyEngine(t *testing.T) {
 		{"trace", true, true},
 		{"", true, true},
 	} {
-		s := Sweep{Engine: tc.engine}
-		if err := s.ApplyEngine(); err != nil {
-			t.Fatalf("ApplyEngine(%q): %v", tc.engine, err)
+		s := Sweep{Trials: 1, Engine: tc.engine}
+		if err := s.Check(); err != nil {
+			t.Fatalf("Check(-engine %q): %v", tc.engine, err)
 		}
 		if cpu.UseBlockEngine != tc.block || cpu.UseTraceEngine != tc.trace {
-			t.Fatalf("ApplyEngine(%q): block=%v trace=%v, want %v/%v",
+			t.Fatalf("Check(-engine %q): block=%v trace=%v, want %v/%v",
 				tc.engine, cpu.UseBlockEngine, cpu.UseTraceEngine, tc.block, tc.trace)
 		}
 	}
-	s := Sweep{Engine: "turbo"}
-	if err := s.ApplyEngine(); err == nil ||
+	s := Sweep{Trials: 1, Engine: "turbo"}
+	if err := s.Check(); err == nil ||
 		!strings.Contains(err.Error(), `unknown -engine "turbo"`) {
 		t.Fatalf("err = %v, want unknown-engine error", err)
 	}

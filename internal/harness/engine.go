@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"softsec/internal/buildcache"
 	"softsec/internal/telemetry"
@@ -96,8 +97,11 @@ func Run(scenarios []Scenario, opt Options) *Report {
 
 	prog := startProgress(opt.Progress, len(scenarios), trials)
 
-	type unit struct{ si, ti int }
-	work := make(chan unit, jobs)
+	// Workers claim units by advancing one shared counter, so claiming a
+	// trial costs one atomic add and wakes no other goroutine. Unit u is
+	// trial u%trials of scenario u/trials: scenario-major order.
+	var next atomic.Int64
+	units := int64(len(scenarios) * trials)
 	var wg sync.WaitGroup
 	workers := make([]warmState, jobs)
 	for w := 0; w < jobs; w++ {
@@ -105,25 +109,20 @@ func Run(scenarios []Scenario, opt Options) *Report {
 		go func(ws *warmState) {
 			defer wg.Done()
 			ws.inst = make(map[int]WarmInstance)
-			for u := range work {
-				s := scenarios[u.si]
+			for u := next.Add(1) - 1; u < units; u = next.Add(1) - 1 {
+				si, ti := int(u)/trials, int(u)%trials
+				s := scenarios[si]
 				t := Trial{
 					Scenario:  s.Name,
-					Index:     u.ti,
-					Seed:      TrialSeed(opt.BaseSeed, s.Name, u.ti),
+					Index:     ti,
+					Seed:      TrialSeed(opt.BaseSeed, s.Name, ti),
 					Telemetry: opt.Telemetry,
 				}
-				results[u.si][u.ti] = ws.runUnit(s, u.si, t)
-				prog.trialDone(u.si)
+				results[si][ti] = ws.runUnit(s, si, t)
+				prog.trialDone(si)
 			}
 		}(&workers[w])
 	}
-	for si := range scenarios {
-		for ti := 0; ti < trials; ti++ {
-			work <- unit{si, ti}
-		}
-	}
-	close(work)
 	wg.Wait()
 	prog.finish()
 

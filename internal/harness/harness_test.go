@@ -115,21 +115,44 @@ func TestEngineJobsDoNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestEngineRunsEveryTrialExactlyOnce pins the claim loop's unit-to-slot
+// mapping: with several scenarios a trial index alone no longer names a
+// slot, so every slot must run once, see its own scenario, index and
+// seed, and land its result in its own place — at one worker, at more
+// workers than units, and with nothing to run.
 func TestEngineRunsEveryTrialExactlyOnce(t *testing.T) {
-	var n atomic.Int64
-	seen := make([]atomic.Int32, 100)
-	s := Scenario{Name: "count", Run: func(tr Trial) TrialResult {
-		n.Add(1)
-		seen[tr.Index].Add(1)
-		return TrialResult{Outcome: "ok"}
-	}}
-	Run([]Scenario{s}, Options{Trials: 100, Jobs: 7})
-	if n.Load() != 100 {
-		t.Fatalf("ran %d trials", n.Load())
+	const trials, seed = 20, 3
+	names := []string{"count/a", "count/b", "count/c"}
+	slot := func(name string, ti int, trialSeed int64) string {
+		return fmt.Sprintf("%s#%d@%d", name, ti, trialSeed)
 	}
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("trial %d ran %d times", i, seen[i].Load())
+	for _, jobs := range []int{1, 2, 7, 64} {
+		seen := make([][]atomic.Int32, len(names))
+		scs := make([]Scenario, len(names))
+		for si, name := range names {
+			seen[si] = make([]atomic.Int32, trials)
+			scs[si] = Scenario{Name: name, Run: func(tr Trial) TrialResult {
+				seen[si][tr.Index].Add(1)
+				return TrialResult{Outcome: "ok", Detail: slot(tr.Scenario, tr.Index, tr.Seed)}
+			}}
+		}
+		rep := Run(scs, Options{Trials: trials, Jobs: jobs, BaseSeed: seed})
+		for si, name := range names {
+			for ti := 0; ti < trials; ti++ {
+				if n := seen[si][ti].Load(); n != 1 {
+					t.Fatalf("jobs=%d: %s trial %d ran %d times", jobs, name, ti, n)
+				}
+				want := slot(name, ti, TrialSeed(seed, name, ti))
+				if got := rep.Results[si][ti].Detail; got != want {
+					t.Fatalf("jobs=%d: slot %s/%d holds %q, want %q", jobs, name, ti, got, want)
+				}
+			}
+		}
+	}
+	for _, jobs := range []int{1, 64} {
+		rep := Run(nil, Options{Trials: trials, Jobs: jobs})
+		if len(rep.Cells) != 0 || len(rep.Results) != 0 {
+			t.Fatalf("jobs=%d: empty run gave %d cells, %d result rows", jobs, len(rep.Cells), len(rep.Results))
 		}
 	}
 }
@@ -159,5 +182,33 @@ func TestRenderTable(t *testing.T) {
 	out := rep.Render()
 	if !strings.Contains(out, "t1/x/none") || !strings.Contains(out, "trials") {
 		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// BenchmarkRunBusyTrials measures the worker pool alone: 16 scenarios of
+// 250 trials, each a fixed busy loop of about 5 µs, so ns/trial at jobs 2
+// against jobs 1 shows how much of a second worker the pool turns into
+// trials.
+func BenchmarkRunBusyTrials(b *testing.B) {
+	const cells, trials, iters = 16, 250, 2048
+	scs := make([]Scenario, cells)
+	for i := range scs {
+		scs[i] = Scenario{Name: fmt.Sprintf("busy/%d", i), Run: func(tr Trial) TrialResult {
+			x := uint64(tr.Seed) | 1
+			for range iters {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+			}
+			return TrialResult{Outcome: "ok", Success: x&1 == 0}
+		}}
+	}
+	for _, jobs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			for range b.N {
+				Run(scs, Options{Trials: trials, Jobs: jobs})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells*trials), "ns/trial")
+		})
 	}
 }

@@ -2,6 +2,8 @@ package runlog
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -88,10 +90,7 @@ func TestValidateRejectsTampering(t *testing.T) {
 }
 
 func TestStoreAppendResolveLoad(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Open(t.TempDir())
 	// IDs are hex, so some start with four decimal digits: a ref that
 	// parses as a number no seq has must still match as an ID prefix.
 	// A nonzero leading digit keeps that number past every seq here.
@@ -145,19 +144,37 @@ func TestStoreAppendResolveLoad(t *testing.T) {
 	}
 }
 
+// TestOpenCreatesNothingUntilAppend: reading a ledger that does not exist
+// yet leaves the filesystem alone, so a mistyped directory leaves no
+// trace; the first Append creates the directory.
+func TestOpenCreatesNothingUntilAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs")
+	st := Open(dir)
+	entries, err := st.Entries()
+	if err != nil || len(entries) != 0 {
+		t.Fatalf("Entries on a missing ledger: %d entries, err %v", len(entries), err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("Open+Entries created %s (stat: %v)", dir, err)
+	}
+	e, err := st.Append(sweepRecord(1, map[string]int{"success": 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Seq != 1 {
+		t.Fatalf("first append got seq %d", e.Seq)
+	}
+	if _, err := st.Load(e); err != nil {
+		t.Fatalf("load first record: %v", err)
+	}
+}
+
 // TestConcurrentAppends drives parallel appends through one store and a
 // second store handle on the same directory — the cross-goroutine and
 // cross-process paths CI runs under -race.
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	st1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1, st2 := Open(dir), Open(dir)
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*n)

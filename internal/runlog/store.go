@@ -46,12 +46,11 @@ type Store struct {
 	mu  sync.Mutex
 }
 
-// Open creates (if needed) and opens a ledger directory.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "records"), 0o755); err != nil {
-		return nil, fmt.Errorf("runlog: open store: %w", err)
-	}
-	return &Store{dir: dir}, nil
+// Open opens a ledger directory without touching the filesystem:
+// reading a missing directory gives an empty ledger, and the first
+// Append creates it.
+func Open(dir string) *Store {
+	return &Store{dir: dir}
 }
 
 // Dir returns the store's directory.
@@ -80,6 +79,9 @@ func (s *Store) Append(r *Record) (LedgerEntry, error) {
 	}
 	seq := len(entries) + 1
 
+	if err := os.MkdirAll(filepath.Join(s.dir, "records"), 0o755); err != nil {
+		return LedgerEntry{}, fmt.Errorf("runlog: append: %w", err)
+	}
 	// O_EXCL on the seq-named file is the cross-process claim: two
 	// appenders that both computed the same next seq collide here, and
 	// the loser retries with the next number instead of silently
