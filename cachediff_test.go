@@ -8,6 +8,7 @@ package softsec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -223,5 +224,46 @@ func TestBuildCacheCountersReconcile(t *testing.T) {
 	if len(uncached) >= len(cached) {
 		t.Fatalf("counter sets: uncached %d names, cached %d (expected buildcache.* only in cached)",
 			len(uncached), len(cached))
+	}
+}
+
+// TestEveryStaticCellRunsWarm pins how trials are served and what they
+// look up. Every cell with a static mitigation config carries a warm
+// hook and is served warm, the adaptive leak-assisted attacker
+// included, so the cold loads are exactly the reseeded cells' trials
+// (at 3 trials: t1 99 warm / 99 cold, cfi 96 / 0). Every attack trial,
+// warm or cold, makes exactly one counted recon lookup. Both hold at
+// any -jobs width.
+func TestEveryStaticCellRunsWarm(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := core.RegisterScenarios(reg); err != nil {
+		t.Fatal(err)
+	}
+	const trials = 3
+	for _, group := range []string{"t1", "cfi", "t1p"} {
+		scs := reg.Group(group)
+		reseeded := 0
+		for _, sc := range scs {
+			if sc.Warm == nil {
+				reseeded++
+			}
+		}
+		for _, jobs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/jobs=%d", group, jobs), func(t *testing.T) {
+				rep := harness.Run(scs, harness.Options{
+					Trials: trials, Jobs: jobs, BaseSeed: 7,
+					Telemetry: &telemetry.Spec{},
+				})
+				if rep.ColdLoads != trials*reseeded || rep.WarmRestores != trials*(len(scs)-reseeded) {
+					t.Errorf("%d warm / %d cold, want %d / %d (%d of %d cells reseed per trial)",
+						rep.WarmRestores, rep.ColdLoads, trials*(len(scs)-reseeded), trials*reseeded,
+						reseeded, len(scs))
+				}
+				c := rep.Telemetry.File().Counters
+				if got := c["buildcache.core.recon.hits"] + c["buildcache.core.recon.misses"]; got != uint64(trials*len(scs)) {
+					t.Errorf("%d recon lookups, want one per trial (%d)", got, trials*len(scs))
+				}
+			})
+		}
 	}
 }

@@ -254,6 +254,7 @@ main:
 	// and one line, before any header prints or any trial runs, whether
 	// or not the command line asks for a sweep.
 	badProgress := `unknown -progress "bogus" (want auto, on, or off)`
+	missing := filepath.Join(work, "missing")
 	for _, tc := range []struct {
 		name, tool string
 		args       []string
@@ -273,6 +274,18 @@ main:
 			[]string{"-trials", "-3", "-attack", "return-to-libc"}, "-trials -3: want at least 1"},
 		{"attacklab -trials 0 exits 2", "attacklab",
 			[]string{"-trials", "0", "-group", "t3"}, "-trials 0: want at least 1"},
+		{"secsim -metrics in a missing directory exits 2", "secsim",
+			[]string{"-attack", "stack-smash-inject", "-canary", "-trials", "2", "-metrics", missing + "/m.json"},
+			"-metrics " + missing + "/m.json: no directory " + missing},
+		{"secsim -guestprof in a missing directory exits 2", "secsim",
+			[]string{"-attack", "stack-smash-inject", "-guestprof", missing + "/p.txt"},
+			"-guestprof " + missing + "/p.txt: no directory " + missing},
+		{"secsim -evtrace in a missing directory exits 2", "secsim",
+			[]string{"-scenario", "fuzz/echo/none", "-evtrace", missing + "/e.json"},
+			"-evtrace " + missing + "/e.json: no directory " + missing},
+		{"attacklab -metrics in a missing directory exits 2", "attacklab",
+			[]string{"-group", "cfi", "-metrics", missing + "/m.json"},
+			"-metrics " + missing + "/m.json: no directory " + missing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {

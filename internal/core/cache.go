@@ -19,12 +19,16 @@ import (
 // Two access modes keep the cache counters deterministic (see the
 // buildcache package comment):
 //
-//   - counted=true — the per-trial path. Lookups go through Do, so the
-//     published hit/miss counters reflect exactly the trials that ran.
-//   - counted=false — worker-local warm-instance construction. Builds
-//     reuse completed entries via stat-free Peek and otherwise build
-//     directly without populating the cache, so how many workers warmed
-//     a cell (a scheduling artifact) never shows in the counters.
+//   - counted — every trial's path, warm or cold. Lookups go through
+//     Do, so the published hit/miss counters reflect exactly the trials
+//     that ran: each attack trial makes one recon lookup (a.Scenario),
+//     a cold trial also makes the compile and link lookups of its
+//     victim build, and a recon miss makes those of its probe build.
+//   - uncounted — worker-local warm-instance construction of the bare
+//     victim (warm.go). Builds reuse completed entries via stat-free
+//     Peek and otherwise build directly without populating the cache,
+//     so how many workers warmed a cell (a scheduling artifact) never
+//     shows in the counters.
 
 // victimKey is the full content identity of a compile/link/recon pass:
 // the victim source plus every mitigation field that reaches codegen
@@ -115,22 +119,28 @@ func buildVictimVia(s Scenario, m Mitigations, counted bool) (*kernel.Process, e
 	return kernel.Load(ld, cfg)
 }
 
-// reconNominal is ReconNominal with an explicit cache access mode. The
-// cached recon is computed under a probe normalized to the key's fields
-// only — everything else recon reports is independent of the runtime
-// mitigations (it reads symbols and nominal layout, never executes) —
-// and the one seed-dependent field, the canary, is fixed up on the way
-// out so callers see exactly what an uncached probe under m would.
-func reconNominal(s Scenario, m Mitigations, counted bool) (Recon, error) {
+// ReconNominal builds attacker knowledge by loading the attacker's own
+// copy of the victim at the nominal layout and reading symbols — exactly
+// what an attacker with the binary does offline. Because the nominal
+// probe is seed-independent, the result is content-cached: repeated
+// trials of one cell perform the reconnaissance pass — probe load,
+// symbol reads, gadget mining — once, and every other call is one
+// counted hit. The cached recon is computed under a probe normalized to
+// the key's fields only — everything else recon reports is independent
+// of the runtime mitigations (it reads symbols and nominal layout, never
+// executes) — and the one seed-dependent field, the canary, is fixed up
+// on the way out so callers see exactly what an uncached probe under m
+// would.
+func ReconNominal(s Scenario, m Mitigations) (Recon, error) {
 	if len(s.ExtraModules) > 0 {
 		probe := m
 		probe.ASLR = false
-		return reconProbe(s, probe, counted)
+		return reconProbe(s, probe)
 	}
 	key := victimKey{src: s.Source, canary: m.Canary, checked: m.Checked, profile: m.Profile}
-	r, err := via(reconCache, key, counted, func() (Recon, error) {
+	r, err := reconCache.Do(key, func() (Recon, error) {
 		probe := Mitigations{Canary: m.Canary, Checked: m.Checked, Profile: m.Profile}
-		return reconProbe(s, probe, counted)
+		return reconProbe(s, probe)
 	})
 	if err != nil {
 		return Recon{}, err

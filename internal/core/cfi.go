@@ -64,8 +64,9 @@ func CFIPrecisionByName(name string) (cfi.Precision, bool) {
 }
 
 // InstallCFI recovers the control-flow graph of a loaded victim and
-// installs a label-table CFI policy at the given precision. It is the
-// PostLoad hook of every enabled CFI cell.
+// installs a label-table CFI policy at the given precision. Run and the
+// warm cells call it on every victim whose Mitigations.CFI names a
+// precision; reconnaissance copies stay unprotected.
 func InstallCFI(p *kernel.Process, prec cfi.Precision) error {
 	g, err := cfi.Recover(p)
 	if err != nil {
@@ -73,6 +74,19 @@ func InstallCFI(p *kernel.Process, prec cfi.Precision) error {
 	}
 	p.CPU.Policy = cfi.NewPolicy(g, prec)
 	return nil
+}
+
+// installCFI installs the policy m.CFI names on a loaded victim; an
+// empty name deploys none.
+func installCFI(p *kernel.Process, m Mitigations) error {
+	if m.CFI == "" {
+		return nil
+	}
+	prec, ok := CFIPrecisionByName(m.CFI)
+	if !ok {
+		return fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
+	}
+	return InstallCFI(p, prec)
 }
 
 // CFIHijackAttacks returns the catalog subset whose success requires a

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"softsec/internal/harness"
-	"softsec/internal/kernel"
 )
 
 // TestCFIGridAcceptance pins the headline claims of the CFI grid:
@@ -73,17 +72,12 @@ func TestCFICellsDeterministic(t *testing.T) {
 // admit all of the program's own indirection.
 func TestCFIBenignFnTableVictim(t *testing.T) {
 	for _, lv := range CFILevels() {
-		m := Mitigations{ShadowStack: lv.ShadowStack}
 		s := Scenario{
 			Name:   "benign-fn-table",
 			Source: victimFnTable,
 			Goal:   shelled,
 		}
-		if lv.Enabled {
-			prec := lv.Precision
-			s.PostLoad = func(p *kernel.Process) error { return InstallCFI(p, prec) }
-		}
-		res, err := Run(s, m)
+		res, err := Run(s, cfiMitigations(lv))
 		if err != nil {
 			t.Fatalf("%s: %v", lv.Name, err)
 		}

@@ -134,12 +134,6 @@ type Scenario struct {
 	Goal Oracle
 	// MaxSteps overrides the default instruction budget when non-zero.
 	MaxSteps uint64
-	// PostLoad, when non-nil, configures the loaded victim before it
-	// runs — the hook platform-side defenses that need the *loaded*
-	// image (CFI control-flow-graph recovery, module protection) install
-	// themselves through. It runs on the deployed victim only, never on
-	// the attacker's reconnaissance copy.
-	PostLoad func(p *kernel.Process) error
 }
 
 // Result is the classified outcome of a run.
@@ -177,19 +171,8 @@ func RunCollected(s Scenario, m Mitigations, spec *telemetry.Spec) (Result, *tel
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if m.CFI != "" {
-		prec, ok := CFIPrecisionByName(m.CFI)
-		if !ok {
-			return Result{}, nil, fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
-		}
-		if err := InstallCFI(p, prec); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	if s.PostLoad != nil {
-		if err := s.PostLoad(p); err != nil {
-			return Result{}, nil, fmt.Errorf("core: post-load: %w", err)
-		}
+	if err := installCFI(p, m); err != nil {
+		return Result{}, nil, err
 	}
 	ins := kernel.AttachInstruments(p, spec)
 	st := p.Run()

@@ -80,24 +80,38 @@ func TestASLRSweepViaHarness(t *testing.T) {
 }
 
 // TestScenarioRerunsAreIndependent re-runs one Scenario value through
-// core.Run twice — the ScriptInput cloning in the loader must make the
-// second run see the same input as the first.
+// core.Run twice: the loader clones the attacker, so the second run must
+// see the same input as the first. That holds for a script and for the
+// adaptive leak-assisted attacker, a state machine that must replay the
+// whole leak-then-smash exchange rather than find its steps spent.
 func TestScenarioRerunsAreIndependent(t *testing.T) {
-	a := Attacks()[0]
-	m := Mitigations{}
-	s, err := a.Scenario(m)
-	if err != nil {
-		t.Fatal(err)
+	attacks := map[string]AttackSpec{}
+	for _, a := range Attacks() {
+		attacks[a.Name] = a
 	}
-	first, err := Run(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(s, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Outcome != Compromised || second.Outcome != first.Outcome {
-		t.Fatalf("rerun diverged: first %v, second %v", first.Outcome, second.Outcome)
+	for _, tc := range []struct {
+		attack string
+		m      Mitigations
+	}{
+		{"stack-smash-inject", Mitigations{}},
+		{"leak-assisted-ret2libc", Mitigations{}},
+		{"leak-assisted-ret2libc", Mitigations{Canary: true, CanarySeed: 7}},
+		{"leak-assisted-ret2libc", Mitigations{ASLR: true, ASLRSeed: 42}},
+	} {
+		s, err := attacks[tc.attack].Scenario(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := Run(s, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := Run(s, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Outcome != Compromised || second.Outcome != first.Outcome {
+			t.Errorf("%s/%v: rerun diverged: first %v, second %v", tc.attack, tc.m, first.Outcome, second.Outcome)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"softsec/internal/harness"
@@ -11,19 +10,21 @@ import (
 // Warm trial instances for attack cells whose victim is trial-invariant:
 // the mitigation config carries no per-trial reseeding, so every cold
 // trial would load the exact same binary at the exact same layout and
-// differ only in the input cursor and run state — precisely what
-// kernel.Snapshot/Restore resets. A warm cell loads once per worker,
-// snapshots the pristine process, and serves each trial by Restore.
+// differ only in the attacker and run state. A warm cell loads the bare
+// victim once per worker, snapshots the pristine process, and serves
+// each trial by Restore plus a freshly built attacker.
 //
 // Result equivalence with the cold path, piece by piece:
 //
-//   - layout/canary: the config is static (the eligibility gate below),
-//     so the cold path's per-trial Load draws the same layout and canary
-//     every time; Restore reproduces them from the snapshot.
-//   - input: Restore re-arms Config.Input with a fresh clone of the
-//     pristine input, matching the clone the cold Load performs. New
-//     refuses inputs that cannot clone (stateful InputFunc closures),
-//     falling the worker back to cold loads.
+//   - layout/canary: the config is static (callers attach a spec only
+//     to such cells), so the cold path's per-trial Load draws the same
+//     layout and canary every time; Restore reproduces them from the
+//     snapshot.
+//   - input: every trial builds its scenario with the same counted
+//     a.Scenario(m) call the cold path makes — one recon-cache hit plus
+//     the attacker's payload — and arms that fresh attacker with
+//     SetInput after the restore, as the cold Load arms its own clone.
+//     Any attacker works, adaptive state machines included.
 //   - CFI policy: installed once before the snapshot; the policy is
 //     configuration, not run state, and Restore leaves it in place —
 //     same as the cold path installing it after every load.
@@ -33,16 +34,11 @@ import (
 //     instrumented): telemetry trials therefore drop them via
 //     ResetCaches before attaching, making every instrumented trial
 //     start exactly as cold as a fresh load.
-//
-// PostLoad hooks are refused wholesale: they run arbitrary per-load
-// code the snapshot cannot prove idempotent.
-
-// errNotWarmSafe marks scenarios the warm path must not serve.
-var errNotWarmSafe = errors.New("core: scenario is not warm reset-safe")
 
 // warmCell is one worker's reusable loaded process for one cell.
 type warmCell struct {
-	s    Scenario
+	a    AttackSpec
+	m    Mitigations
 	p    *kernel.Process
 	snap *kernel.Snapshot
 }
@@ -56,42 +52,30 @@ func warmCellSpec(a AttackSpec, m Mitigations) *harness.WarmSpec {
 	}}
 }
 
-// newWarmCell builds the cell's victim once and snapshots it pristine.
-// All builds go through the uncounted cache mode (cache.go): how many
-// workers warm a cell is a scheduling artifact that must never move
-// the deterministic build-cache counters.
+// newWarmCell loads the cell's bare victim once, with no attacker and
+// no reconnaissance, and snapshots it pristine. The build goes through
+// the uncounted cache mode (cache.go): how many workers warm a cell is
+// a scheduling artifact that must never move the deterministic
+// build-cache counters.
 func newWarmCell(a AttackSpec, m Mitigations) (*warmCell, error) {
-	s, err := a.scenarioVia(m, false)
+	p, err := buildVictimVia(Scenario{Name: a.Name, Source: a.Victim}, m, false)
 	if err != nil {
 		return nil, err
 	}
-	if s.PostLoad != nil {
-		return nil, fmt.Errorf("%w: PostLoad hook", errNotWarmSafe)
-	}
-	if s.Attacker != nil {
-		if _, ok := s.Attacker.(interface{ CloneInput() kernel.InputSource }); !ok {
-			return nil, fmt.Errorf("%w: input source cannot clone", errNotWarmSafe)
-		}
-	}
-	p, err := buildVictimVia(s, m, false)
-	if err != nil {
+	if err := installCFI(p, m); err != nil {
 		return nil, err
 	}
-	if m.CFI != "" {
-		prec, ok := CFIPrecisionByName(m.CFI)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown CFI precision %q (want coarse or fine)", m.CFI)
-		}
-		if err := InstallCFI(p, prec); err != nil {
-			return nil, err
-		}
-	}
-	return &warmCell{s: s, p: p, snap: p.Snapshot()}, nil
+	return &warmCell{a: a, m: m, p: p, snap: p.Snapshot()}, nil
 }
 
-// RunTrial implements harness.WarmInstance: restore the pristine
-// snapshot, run, classify — the warm mirror of RunCollected.
+// RunTrial implements harness.WarmInstance: build the trial's attacker,
+// restore the pristine snapshot, arm, run, classify — the warm mirror
+// of runTrialCell.
 func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
+	s, err := w.a.Scenario(w.m)
+	if err != nil {
+		return harness.TrialResult{Err: err}
+	}
 	p := w.p
 	// Drop the previous trial's event/profiler hooks before restoring:
 	// Restore emits a restore event and notifies the profiler, neither
@@ -101,22 +85,17 @@ func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	if err := p.Restore(w.snap); err != nil {
 		return harness.TrialResult{Err: fmt.Errorf("core: warm restore: %w", err)}
 	}
+	p.SetInput(s.Attacker)
 	if t.Telemetry != nil {
 		p.CPU.ResetCaches()
 	}
 	ins := kernel.AttachInstruments(p, t.Telemetry)
 	st := p.Run()
-	res := Result{
-		State:  st,
-		Exit:   p.CPU.ExitCode(),
-		Output: p.Output.Bytes(),
-		Proc:   p,
-	}
-	res.Outcome = Classify(p, st, w.s.Goal)
+	out := Classify(p, st, s.Goal)
 	tr := harness.TrialResult{
-		Outcome: res.Outcome.String(),
-		Code:    int(res.Outcome),
-		Success: res.Outcome == Compromised,
+		Outcome: out.String(),
+		Code:    int(out),
+		Success: out == Compromised,
 	}
 	if ins != nil {
 		tr.Telemetry = ins.Snap(p, ins.SinceAttach(p))

@@ -100,11 +100,23 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 // Check validates the parsed flag values and pins the execution tier, so
 // that bad input fails with one line before anything is printed or run:
 // -trials below 1, an unknown -progress mode, layout profile or engine,
-// or a -runlog ledger the run's record could not be appended to. Both
-// sweep binaries call it right after flag parsing and exit 2 on error.
+// a -metrics, -guestprof or -evtrace file whose directory does not
+// exist, or a -runlog ledger the run's record could not be appended to.
+// Both sweep binaries call it right after flag parsing and exit 2 on
+// error.
 func (s *Sweep) Check() error {
 	if s.Trials < 1 {
 		return fmt.Errorf("-trials %d: want at least 1", s.Trials)
+	}
+	for _, out := range []struct{ flag, path string }{
+		{"-metrics", s.Metrics}, {"-guestprof", s.GuestProf}, {"-evtrace", s.EvTrace},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if fi, err := os.Stat(filepath.Dir(out.path)); err != nil || !fi.IsDir() {
+			return fmt.Errorf("%s %s: no directory %s", out.flag, out.path, filepath.Dir(out.path))
+		}
 	}
 	if _, err := s.progressConfig(); err != nil {
 		return err

@@ -20,10 +20,9 @@ type WarmSpec struct {
 	// New constructs one warm instance: build and load the cell's
 	// victim, snapshot it pristine, return a runner that restores the
 	// snapshot per trial. Called lazily, at most once per (worker,
-	// cell). An error permanently disables warm reuse for that worker —
-	// its trials fall back to the scenario's cold Run path — so a
-	// scenario whose reset-safety can only be checked at build time
-	// (e.g. a stateful input source) may simply return the error.
+	// cell). An error (a victim that does not build, say) permanently
+	// disables warm reuse for that worker — its trials fall back to the
+	// scenario's cold Run path, which reports the error per trial.
 	New func() (WarmInstance, error)
 }
 
