@@ -19,8 +19,6 @@ package cpu
 //     proves once per span that every sequential CheckExec inside the
 //     block is allowed (and optionally that no data access can fail, in
 //     which case the per-access checkers are skipped too);
-//   - the snapshot undo-log pretouch for the stack page the block's
-//     PUSH/CALL run provably writes;
 //   - the step-budget computation: a block never retires past Run's
 //     maxSteps — it partially retires and stops exactly at the budget,
 //     bit-identical to the stepping engine.
@@ -142,12 +140,6 @@ type Block struct {
 	// wmask marks instructions that store to data memory on the
 	// sequential path; the engine revalidates the block after each.
 	wmask uint32
-	// stackOps marks blocks that provably write the stack page just
-	// below the entry ESP (PUSH/PUSHI/CALL/CALLR), enabling the undo-log
-	// pretouch; nstack counts those instructions, so the trace engine can
-	// batch one undo-log pretouch over a whole superblock's stack span.
-	stackOps bool
-	nstack   uint8
 }
 
 // Len returns the number of instructions in the block.
@@ -246,10 +238,6 @@ func (c *CPU) buildBlock(pc uint32, b *Block) bool {
 		}
 		if isa.WritesMem(in.Op) {
 			b.wmask |= 1 << uint(n)
-		}
-		if isa.WritesStack(in.Op) {
-			b.stackOps = true
-			b.nstack++
 		}
 		scratch[n] = in
 		n++
@@ -417,12 +405,6 @@ func (c *CPU) blockStep(budget uint64) {
 // inside the span, so fall-through retirement is a bare IP advance.
 func (c *CPU) runBlock(e *bcEntry, n int) {
 	b := &e.blk
-	if b.stackOps {
-		// The block provably writes the stack page just below the entry
-		// ESP: hoist the snapshot undo-log first-touch save to block
-		// entry.
-		c.Mem.PretouchWrite(c.Reg[isa.ESP] - 4)
-	}
 	ip := c.IP
 	for i := 0; i < n; i++ {
 		in := b.ins[i]

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"softsec/internal/isa"
@@ -34,40 +35,57 @@ func runBothEngines(t *testing.T, mk func(t *testing.T) *CPU, maxSteps uint64) (
 	ref.Coverage = &Coverage{}
 	stRef := ref.Run(maxSteps)
 
+	want := outcomeOf(ref, stRef)
 	check := func(name string, got *CPU, st State) {
 		t.Helper()
-		if st != stRef {
-			t.Fatalf("%s state %v vs step %v (faults %v / %v)", name, st, stRef, got.Fault(), ref.Fault())
-		}
-		if got.Reg != ref.Reg {
-			t.Fatalf("%s registers diverged: %v vs step %v", name, got.Reg, ref.Reg)
-		}
-		if got.IP != ref.IP {
-			t.Fatalf("%s IP diverged: %#x vs step %#x", name, got.IP, ref.IP)
-		}
-		if got.F != ref.F {
-			t.Fatalf("%s flags diverged: %+v vs step %+v", name, got.F, ref.F)
-		}
-		if got.Steps != ref.Steps {
-			t.Fatalf("%s step count diverged: %d vs step %d", name, got.Steps, ref.Steps)
-		}
-		fs := func(f *Fault) string {
-			if f == nil {
-				return ""
-			}
-			return f.Error()
-		}
-		if fs(got.Fault()) != fs(ref.Fault()) {
-			t.Fatalf("%s fault diverged: %q vs step %q", name, fs(got.Fault()), fs(ref.Fault()))
-		}
-		if !got.Coverage.Equal(ref.Coverage) {
-			t.Fatalf("%s coverage bitmaps diverged (%d vs %d edges)",
-				name, got.Coverage.Count(), ref.Coverage.Count())
+		if d := want.diff(outcomeOf(got, st)); d != "" {
+			t.Fatalf("%s vs step: %s", name, d)
 		}
 	}
 	check("block", blk, stBlk)
 	check("trace", trc, stTrc)
 	return trc, ref
+}
+
+// outcome is what a run leaves that every tier must agree on: state,
+// registers, IP, flags, step count, fault rendering and coverage bitmap.
+type outcome struct {
+	state State
+	reg   [isa.NumRegs]uint32
+	ip    uint32
+	f     Flags
+	steps uint64
+	fault string
+	cov   *Coverage
+}
+
+func outcomeOf(c *CPU, st State) outcome {
+	o := outcome{state: st, reg: c.Reg, ip: c.IP, f: c.F, steps: c.Steps, cov: c.Coverage}
+	if f := c.Fault(); f != nil {
+		o.fault = f.Error()
+	}
+	return o
+}
+
+// diff describes the first way got differs from want, or returns "".
+func (want outcome) diff(got outcome) string {
+	switch {
+	case got.state != want.state:
+		return fmt.Sprintf("state %v, want %v (faults %q / %q)", got.state, want.state, got.fault, want.fault)
+	case got.reg != want.reg:
+		return fmt.Sprintf("registers %v, want %v", got.reg, want.reg)
+	case got.ip != want.ip:
+		return fmt.Sprintf("IP %#x, want %#x", got.ip, want.ip)
+	case got.f != want.f:
+		return fmt.Sprintf("flags %+v, want %+v", got.f, want.f)
+	case got.steps != want.steps:
+		return fmt.Sprintf("step count %d, want %d", got.steps, want.steps)
+	case got.fault != want.fault:
+		return fmt.Sprintf("fault %q, want %q", got.fault, want.fault)
+	case !got.cov.Equal(want.cov):
+		return fmt.Sprintf("coverage bitmaps differ (%d vs %d edges)", got.cov.Count(), want.cov.Count())
+	}
+	return ""
 }
 
 // loopProgram is a counted loop with calls and stack traffic: blocks of

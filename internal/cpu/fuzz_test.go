@@ -1,0 +1,291 @@
+package cpu
+
+import (
+	"bytes"
+	"testing"
+
+	"softsec/internal/isa"
+	"softsec/internal/mem"
+)
+
+// fuzzBudget is the step budget of every FuzzEngineDifferential run.
+const fuzzBudget = 2048
+
+// fuzzCode is where a generated loop is loaded: the third of the four
+// RWX text pages. A store base walking up from textBase reaches the
+// running code only after the loop has run hot, and leaves it again.
+const fuzzCode = textBase + 0x2000
+
+// fuzzWork lists the registers generated instructions may write: EBP
+// counts the loop's iterations, EDI holds fuzzCode, which loads, stores
+// and indirect targets address from, and ESP is the stack.
+var fuzzWork = [...]isa.Reg{isa.EAX, isa.ECX, isa.EDX, isa.EBX, isa.ESI}
+
+var (
+	fuzzALURR = [...]isa.Op{isa.MOV, isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP,
+		isa.TEST, isa.IMUL, isa.IDIV, isa.IMOD, isa.SHL, isa.SHR, isa.SAR}
+	fuzzALURI = [...]isa.Op{isa.ADDI, isa.SUBI, isa.ANDI, isa.ORI, isa.XORI, isa.CMPI}
+	fuzzJumps = [...]isa.Op{isa.JMP, isa.JZ, isa.JNZ, isa.JL, isa.JG, isa.JLE, isa.JGE,
+		isa.JB, isa.JA, isa.JAE, isa.JBE}
+	// fuzzBases are the base registers of loads and stores: the code, the
+	// stack, and the work registers, of which ECX starts in the text
+	// pages below the code and EDX in the stack (fuzzMachine).
+	fuzzBases = [...]isa.Reg{isa.EDI, isa.ESP, isa.EAX, isa.ECX, isa.EDX, isa.EBX, isa.ESI}
+)
+
+// fuzzProg is a generated loop and the machine state it starts from.
+type fuzzProg struct {
+	code  []byte
+	iters uint32 // initial EBP, the loop counter
+	esp   uint32
+	mid   uint64 // steps run before the second pass's restore
+}
+
+// genLoop turns fuzz input into a loop of valid SM32 instructions. Three
+// header bytes pick the iteration count, the initial ESP (within 1 KiB
+// above a stack page boundary, so pushes cross pages) and the mid-run
+// restore point. Each further three bytes k, a, b become one body
+// instruction: k%12 picks the kind and k/12 the variant, a and b the
+// operands. Loads and stores may address the code itself; every direct,
+// call and indirect target is an instruction boundary of the loop. The
+// body is closed by
+//
+//	subi ebp, 1
+//	jnz  body
+//	hlt
+func genLoop(data []byte) fuzzProg {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	p := fuzzProg{
+		iters: 1 + uint32(next()%64),
+		esp:   stackTop - mem.PageSize + 4*uint32(next()),
+		mid:   1 + uint64(next())*fuzzBudget/256,
+	}
+	var body []isa.Instr
+	var target []int // per body instruction: the index it branches to or addresses, or -1
+	add := func(in isa.Instr, to int) {
+		body = append(body, in)
+		target = append(target, to)
+	}
+	for len(data) > 0 && len(body) < 48 {
+		k, a, b := next(), next(), next()
+		v := int(k / 12)
+		rd := fuzzWork[int(a)%len(fuzzWork)]
+		switch k % 12 {
+		case 0:
+			add(isa.Instr{Op: fuzzALURR[v%len(fuzzALURR)], Rd: rd, Rs: isa.Reg(b % 8)}, -1)
+		case 1:
+			imm := uint32(b) << (4 * (v / len(fuzzALURI) % 4))
+			add(isa.Instr{Op: fuzzALURI[v%len(fuzzALURI)], Rd: rd, Imm: imm}, -1)
+		case 2:
+			imm := uint32(b)
+			if v%2 == 1 {
+				imm += fuzzCode // a code pointer
+			}
+			add(isa.Instr{Op: isa.MOVI, Rd: rd, Imm: imm}, -1)
+		case 3:
+			add(isa.Instr{Op: [...]isa.Op{isa.NEG, isa.NOT}[v%2], Rd: rd}, -1)
+		case 4:
+			if v%2 == 0 {
+				add(isa.Instr{Op: isa.PUSH, Rd: isa.Reg(a % 8)}, -1)
+			} else {
+				add(isa.Instr{Op: isa.PUSHI, Imm: uint32(b)}, -1)
+			}
+		case 5:
+			add(isa.Instr{Op: isa.POP, Rd: rd}, -1)
+		case 6:
+			op := [...]isa.Op{isa.STOREW, isa.STOREB}[v%2]
+			base := fuzzBases[v/2%len(fuzzBases)]
+			add(isa.Instr{Op: op, Rd: base, Rs: isa.Reg(a % 8), Imm: uint32(b)}, -1)
+		case 7:
+			op := [...]isa.Op{isa.LOADW, isa.LOADB}[v%2]
+			base := fuzzBases[v/2%len(fuzzBases)]
+			add(isa.Instr{Op: op, Rd: rd, Rs: base, Imm: uint32(b)}, -1)
+		case 8:
+			add(isa.Instr{Op: fuzzJumps[v%len(fuzzJumps)]}, int(a))
+		case 9:
+			add(isa.Instr{Op: isa.CALL}, int(a))
+		case 10:
+			r := fuzzWork[int(b)%len(fuzzWork)]
+			add(isa.Instr{Op: isa.LEA, Rd: r, Rs: isa.EDI}, int(a))
+			add(isa.Instr{Op: [...]isa.Op{isa.JMPR, isa.CALLR}[v%2], Rd: r}, -1)
+		default:
+			switch v % 4 {
+			case 0:
+				add(isa.Instr{Op: isa.RET}, -1)
+			case 1:
+				add(isa.Instr{Op: isa.INT, Imm: 0x80}, -1)
+			default:
+				add(isa.Instr{Op: isa.NOP}, -1)
+			}
+		}
+	}
+	add(isa.Instr{Op: isa.SUBI, Rd: isa.EBP, Imm: 1}, -1)
+	add(isa.Instr{Op: isa.JNZ}, 0)
+	add(isa.Instr{Op: isa.HLT}, -1)
+
+	off := make([]uint32, len(body)+1)
+	for i, in := range body {
+		off[i+1] = off[i] + uint32(isa.EncodedSize(in.Op))
+	}
+	for i := range body {
+		if target[i] < 0 {
+			continue
+		}
+		to := off[target[i]%len(body)]
+		if body[i].Op == isa.LEA {
+			body[i].Imm = to // EDI holds fuzzCode
+		} else {
+			body[i].Imm = to - off[i+1]
+		}
+	}
+	for _, in := range body {
+		p.code = isa.MustEncode(p.code, in)
+	}
+	return p
+}
+
+// fuzzMachine loads p at fuzzCode on an RWX text segment, with INT
+// serviced by a handler that does nothing. ECX starts at the first text
+// page and EDX in the stack, so either can serve as a store base.
+func fuzzMachine(t *testing.T, p fuzzProg) *CPU {
+	t.Helper()
+	c := newRWXMachine(t, nil)
+	if err := c.Mem.LoadRaw(fuzzCode, p.code); err != nil {
+		t.Fatal(err)
+	}
+	c.IP = fuzzCode
+	c.Handler = nopHandler{}
+	c.Reg = [isa.NumRegs]uint32{0x11, textBase, stackTop - 0x800, 4, p.esp, p.iters, 5, fuzzCode}
+	return c
+}
+
+// fuzzBytes returns the text and stack bytes of c's address space.
+func fuzzBytes(t *testing.T, c *CPU) []byte {
+	t.Helper()
+	text, ok1 := c.Mem.PeekRaw(textBase, 0x4000)
+	stack, ok2 := c.Mem.PeekRaw(stackBase, 0x10000)
+	if !ok1 || !ok2 {
+		t.Fatal("text or stack segment unmapped")
+	}
+	return append(text, stack...)
+}
+
+// fuzzRun runs p for fuzzBudget steps on the current tier under a memory
+// checkpoint and returns the outcome and the text and stack bytes the
+// run left. With mid > 0 it first runs mid steps and rolls memory and
+// architectural state back to the start, so the counted run meets code
+// caches filled by a run whose writes were undone. After the run,
+// restoring the checkpoint must give back the pre-run bytes.
+func fuzzRun(t *testing.T, p fuzzProg, mid uint64) (outcome, []byte) {
+	t.Helper()
+	c := fuzzMachine(t, p)
+	start := c.SaveArch()
+	pre := fuzzBytes(t, c)
+	cp := c.Mem.Checkpoint()
+	if mid > 0 {
+		c.Run(mid)
+		if err := c.Mem.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		c.RestoreArch(start)
+	}
+	c.Coverage = &Coverage{}
+	o := outcomeOf(c, c.Run(fuzzBudget))
+	post := fuzzBytes(t, c)
+	if err := c.Mem.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fuzzBytes(t, c), pre) {
+		t.Fatal("restoring the checkpoint did not give back the pre-run bytes")
+	}
+	return o, post
+}
+
+// Seeds of FuzzEngineDifferential, in genLoop's input format; each runs
+// 63 iterations.
+var (
+	// A store-free jump chain: four (addi r, 1; jmp next) blocks.
+	fuzzSeedJumpChain = []byte{62, 128, 100,
+		1, 4, 1, 8, 2, 0, 1, 1, 1, 8, 4, 0, 1, 2, 1, 8, 6, 0, 1, 3, 1, 8, 8, 0}
+	// A PUSH/CALL loop whose stack grows across a page boundary:
+	// push eax; push 7; call next; addi eax, 1.
+	fuzzSeedPushCall = []byte{62, 20, 100,
+		4, 0, 0, 16, 0, 7, 9, 3, 0, 1, 0, 1}
+	// Stores into the running block: addi ecx, 0x100; addi ebx, 1;
+	// storeb [ecx+8], eax; storeb [ecx+26], eax; addi esi, 1; jmp tail.
+	// The stores walk up the text pages below the code while a trace
+	// forms. In iteration 32 they rewrite the immediates of both addi
+	// ebx, already run, and addi esi, still to run. From iteration 48
+	// they write the page above, and the trace re-forms over the
+	// rewritten code.
+	fuzzSeedSMC = []byte{62, 128, 100,
+		73, 1, 16, 1, 3, 1, 90, 0, 8, 90, 0, 26, 1, 4, 1, 8, 6, 0}
+)
+
+// FuzzEngineDifferential runs generated loops (genLoop) on the step,
+// block and trace tiers, each once from a cold machine and once after a
+// mid-run restore, and requires every run to leave the same outcome and
+// the same text and stack bytes as the cold stepping run.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add(fuzzSeedJumpChain)
+	f.Add(fuzzSeedPushCall)
+	f.Add(fuzzSeedSMC)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := genLoop(data)
+		var want outcome
+		var wantMem []byte
+		for _, tier := range []struct {
+			name         string
+			block, trace bool
+		}{{"step", false, false}, {"block", true, false}, {"trace", true, true}} {
+			for _, mid := range []uint64{0, p.mid} {
+				withTiers(tier.block, tier.trace, func() {
+					got, gotMem := fuzzRun(t, p, mid)
+					if want.cov == nil {
+						want, wantMem = got, gotMem
+						return
+					}
+					if d := want.diff(got); d != "" {
+						t.Fatalf("%s, mid-run restore at %d: %s", tier.name, mid, d)
+					}
+					if !bytes.Equal(gotMem, wantMem) {
+						t.Fatalf("%s, mid-run restore at %d: text or stack bytes differ from the stepping run", tier.name, mid)
+					}
+				})
+			}
+		}
+	})
+}
+
+// TestFuzzSeedShapes pins that each FuzzEngineDifferential seed reaches
+// the path it is named for on the default (trace) tier.
+func TestFuzzSeedShapes(t *testing.T) {
+	run := func(p fuzzProg) *CPU {
+		c := fuzzMachine(t, p)
+		c.TraceStats = &TraceStats{}
+		if st := c.Run(fuzzBudget); st != Halted && st != StepLimit {
+			t.Fatalf("state %v, fault %v", st, c.Fault())
+		}
+		return c
+	}
+	if c := run(genLoop(fuzzSeedJumpChain)); c.TraceStats.Formed == 0 || c.TraceStats.LoopBacks == 0 {
+		t.Errorf("jump chain: no looping trace formed: %+v", *c.TraceStats)
+	}
+	p := genLoop(fuzzSeedPushCall)
+	if c := run(p); c.TraceStats.Formed == 0 || c.Reg[isa.ESP]/mem.PageSize == p.esp/mem.PageSize {
+		t.Errorf("push/call loop: formed %d traces, esp %#x from %#x", c.TraceStats.Formed, c.Reg[isa.ESP], p.esp)
+	}
+	// The rewrite lands after iteration 32's addi ebx and before its
+	// addi esi.
+	if c := run(genLoop(fuzzSeedSMC)); c.TraceStats.Formed < 2 || c.Reg[isa.EBX] != 4+32+31*0x11 || c.Reg[isa.ESI] != 5+31+32*0x11 {
+		t.Errorf("stores into the running block: formed %d traces, ebx %#x, esi %#x",
+			c.TraceStats.Formed, c.Reg[isa.EBX], c.Reg[isa.ESI])
+	}
+}

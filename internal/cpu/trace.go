@@ -4,12 +4,11 @@ package cpu
 //
 // The block engine executes one basic block per dispatch: every block
 // boundary returns to the Run loop and pays the cache probe, the budget
-// computation, the policy-summary lookup and the pretouch again — even
-// when the same block chain has run a million times. This tier lifts the
-// same idea one level: chains of hot blocks are recorded as *traces*
-// (superblocks) and dispatched as a unit, with direct-threaded flow from
-// member to member and the per-dispatch overheads paid once per chain —
-// or, for a trace that closes a loop, once per many iterations.
+// computation and the policy-summary lookup again — even when the same
+// block chain has run a million times. This tier lifts the same idea one
+// level: chains of hot blocks are recorded as *traces* (superblocks) and
+// dispatched as a unit, with the per-dispatch overheads paid once per
+// chain — or, for a trace that closes a loop, once per many iterations.
 //
 // Recording is observational, in the Next-Executing-Tail style: when a
 // built block's dispatch counter crosses traceHot and no trace starts at
@@ -36,13 +35,11 @@ package cpu
 // same instruction.
 //
 // Invalidation mirrors blocks exactly: a trace is keyed on (entry pc,
-// per-member page write stamps, policy epoch). Self-modifying code, Protect/Unmap, snapshot-restore rollbacks
-// and policy rebinds all move one of those, killing the trace at its
-// next probe or member boundary. Per-member policy span summaries are
-// composed from the same BlockCheckCompiler contract blocks use; a trace
-// whose members are all data-free (and store-free) additionally skips
-// the per-boundary stamp checks after validating every member once per
-// dispatch — nothing inside such a trace can write memory at all.
+// per-member page write stamps, policy epoch). Self-modifying code,
+// Protect/Unmap, snapshot-restore rollbacks and policy rebinds all move
+// one of those, killing the trace at its next probe or member boundary.
+// Per-member policy span summaries are composed from the same
+// BlockCheckCompiler contract blocks use.
 
 import (
 	"softsec/internal/isa"
@@ -120,51 +117,14 @@ type tmember struct {
 	g0       uint64
 	w1       *uint64 // nil unless the member's span covers a second page
 	g1       uint64
-	// Direct threading: fused marks a member whose terminator is an
-	// unconditional direct JMP whose target is statically the next
-	// member's entry. The fast pass retires such a jump inline (Steps++
-	// plus the same branch() call exec1's JMP case makes — coverage
-	// edge, chkExec, IP update) instead of dispatching it through the
-	// opcode switch, and the successor needs no branch-direction guard.
-	fused bool
-	// guarded is the complement on the successor side: the member needs
-	// an entry IP guard because its predecessor's terminator direction
-	// was not statically known (member 0 is instead guarded by the
-	// pass-end loop-back check).
-	guarded bool
-	// regOnly marks a member none of whose instructions access memory
-	// (isa.AccessesMem is false for every op). exec1 reads c.IP and
-	// c.Steps only on memory paths (policy data checks and fault
-	// attribution in readMem/writeMem); every other fault site uses the
-	// ip argument. So a regOnly prefix can keep the program counter in a
-	// register and retire Steps/IP in one flush — before the terminator
-	// (whose exec1 branch paths do their own retirement), or exactly at
-	// a faulting instruction on the early-exit path.
-	regOnly bool
-	// jfrom/jto are the fused jump's architectural from/to pcs.
-	jfrom, jto uint32
 }
 
 // trace is one recorded superblock: a chain of member blocks expected to
 // execute back to back, starting at start.
 type trace struct {
-	start uint32
-	pe    uint32
-	// pure marks a trace no member of which can write memory (no wmask
-	// bits, no stack-writing instructions): its members are validated
-	// once per dispatch instead of at every boundary, and it needs no
-	// pretouch.
-	pure bool
-	// allDataFree marks a trace whose every member span the policy
-	// proved free of data accesses: the per-access data checkers are
-	// suppressed once for the whole dispatch instead of per member.
-	allDataFree bool
-	// stackWords counts the stack-writing instructions across all
-	// members: the provable PUSH/CALL footprint below the entry ESP,
-	// pretouched into the snapshot undo log in one batched span call.
-	stackWords uint32
-	nins       int // total member instructions (stats)
-	members    []tmember
+	start   uint32
+	pe      uint32
+	members []tmember
 }
 
 // tcEntry is one trace-cache slot.
@@ -384,7 +344,7 @@ func (c *CPU) finishRec() {
 		c.statAbort()
 		return
 	}
-	t := &trace{start: r.start, pe: r.pe, pure: true, allDataFree: true}
+	t := &trace{start: r.start, pe: r.pe}
 	for _, pc := range r.pcs {
 		var b Block
 		if !c.buildBlock(pc, &b) || len(b.ins) == 0 || excludedTraceTerm(&b) {
@@ -409,44 +369,11 @@ func (c *CPU) finishRec() {
 				break
 			}
 		}
-		if b.wmask != 0 || b.stackOps {
-			t.pure = false
-		}
-		if !dataFree {
-			t.allDataFree = false
-		}
-		t.stackWords += uint32(b.nstack)
-		t.nins += len(b.ins)
 		t.members = append(t.members, m)
 	}
 	if len(t.members) < MinTraceBlocks {
 		c.statAbort()
 		return
-	}
-	// Direct-threading analysis: fuse unconditional direct jumps whose
-	// target is statically the next member's entry (wrapping to the head
-	// for loop traces — an unconditional jump to the head is a loop
-	// whether or not recording happened to close there), mark members
-	// with no memory-accessing instructions for deferred retirement, and
-	// drop the entry guard on members whose predecessor was fused.
-	for i := range t.members {
-		m := &t.members[i]
-		b := &m.blk
-		if term := &b.ins[len(b.ins)-1]; b.Term && term.Op == isa.JMP {
-			m.jfrom = b.End - uint32(term.Size)
-			m.jto = b.End + term.Imm
-			m.fused = m.jto == t.members[(i+1)%len(t.members)].blk.Start
-		}
-		m.regOnly = true
-		for _, in := range b.ins {
-			if isa.AccessesMem(in.Op) {
-				m.regOnly = false
-				break
-			}
-		}
-	}
-	for i := 1; i < len(t.members); i++ {
-		t.members[i].guarded = !t.members[i-1].fused
 	}
 	if c.tcache == nil {
 		c.tcache = make([]tcEntry, tcacheSize)
@@ -457,183 +384,23 @@ func (c *CPU) finishRec() {
 	if st := c.TraceStats; st != nil {
 		st.Formed++
 		st.LenHist[len(t.members)]++
-		st.MemberInstrs += uint64(t.nins)
+		for i := range t.members {
+			st.MemberInstrs += uint64(len(t.members[i].blk.ins))
+		}
 	}
 	if c.Events != nil {
 		c.Events.Emit("trace.form", t.start, uint64(len(t.members)))
 	}
 }
 
-// runTrace executes t: members back to back, guarded, with one batched
-// undo-log pretouch per pass and internal loop-back when the chain
-// closes on its own head.
+// runTrace executes t: members back to back, guarded, with internal
+// loop-back when the chain closes on its own head.
 func (c *CPU) runTrace(t *trace, budget uint64) {
 	st := c.TraceStats
 	if st != nil {
 		st.Dispatches++
 	}
-	if t.pure {
-		// Nothing in this trace writes memory, so member bytes cannot
-		// change mid-dispatch: validate every member once, then dispatch
-		// and loop with bare branch-direction guards. The member loop is
-		// inlined — no per-member call, no wmask tests (pure means every
-		// wmask is zero), and the budget is checked once per pass (a pass
-		// retires at most t.nins instructions), with a careful per-member
-		// tail when the remaining budget gets small.
-		for i := range t.members {
-			if !c.memberValid(&t.members[i]) {
-				c.killTrace(t)
-				if st != nil {
-					st.StaleExits++
-				}
-				return
-			}
-		}
-		if t.allDataFree && (c.chkRead != nil || c.chkWrite != nil) {
-			c.noDataChk = true
-		}
-		for budget-c.Steps >= uint64(t.nins) {
-			for mi := range t.members {
-				m := &t.members[mi]
-				b := &m.blk
-				if m.guarded && c.IP != b.Start {
-					c.noDataChk = false
-					c.statSideExit(c.IP)
-					return
-				}
-				// Entry pc is statically known here: guarded members just
-				// passed the IP check, unguarded ones were entered by a
-				// fused jump that set IP to exactly b.Start.
-				ip := b.Start
-				n := len(b.ins)
-				if m.fused {
-					// Direct-threaded member: run the sequential prefix,
-					// then retire the terminating direct jump inline — the
-					// same Steps++/branch() sequence as exec1's JMP case,
-					// without the fetchless dispatch through the switch.
-					if m.regOnly {
-						for i := 0; i < n-1; i++ {
-							in := b.ins[i]
-							next := ip + uint32(in.Size)
-							if c.exec1(in, ip, next) != execSeq {
-								c.Steps += uint64(i)
-								c.IP = ip
-								c.noDataChk = false
-								return
-							}
-							ip = next
-						}
-						c.Steps += uint64(n)
-					} else {
-						for i := 0; i < n-1; i++ {
-							in := b.ins[i]
-							next := ip + uint32(in.Size)
-							if c.exec1(in, ip, next) != execSeq {
-								c.noDataChk = false
-								return
-							}
-							c.Steps++
-							c.IP = next
-							ip = next
-						}
-						c.Steps++
-					}
-					if !c.branch(m.jfrom, m.jto) {
-						// Policy refused the edge: same machine state as a
-						// stepped JMP refusal — jump counted, IP at the
-						// jump, fault recorded by transfer.
-						c.IP = m.jfrom
-						c.noDataChk = false
-						return
-					}
-					continue
-				}
-				if m.regOnly {
-					for i := 0; i < n-1; i++ {
-						in := b.ins[i]
-						next := ip + uint32(in.Size)
-						if c.exec1(in, ip, next) != execSeq {
-							c.Steps += uint64(i)
-							c.IP = ip
-							c.noDataChk = false
-							return
-						}
-						ip = next
-					}
-					c.Steps += uint64(n - 1)
-					c.IP = ip
-				} else {
-					for i := 0; i < n-1; i++ {
-						in := b.ins[i]
-						next := ip + uint32(in.Size)
-						if c.exec1(in, ip, next) != execSeq {
-							c.noDataChk = false
-							return
-						}
-						c.Steps++
-						c.IP = next
-						ip = next
-					}
-				}
-				// Last instruction: a terminator whose direction the chain
-				// must guard, or a fall-through (page-boundary or
-				// length-cap member) flowing sequentially onward.
-				in := b.ins[n-1]
-				next := ip + uint32(in.Size)
-				if c.exec1(in, ip, next) != execSeq {
-					if c.state != Running {
-						c.noDataChk = false
-						return
-					}
-					// Terminator taken: exec1 retired it (Steps, coverage,
-					// IP) — the next member's guard checks the direction.
-				} else {
-					c.Steps++
-					c.IP = next
-				}
-			}
-			if st != nil {
-				st.Completions++
-			}
-			if c.IP != t.start {
-				c.noDataChk = false
-				return
-			}
-			if st != nil {
-				st.LoopBacks++
-			}
-		}
-		c.noDataChk = false
-		// Careful tail: the next pass could cross the budget, so run it
-		// member by member with exact partial retirement.
-		for {
-			for mi := range t.members {
-				m := &t.members[mi]
-				if mi > 0 && c.IP != m.blk.Start {
-					c.statSideExit(c.IP)
-					return
-				}
-				if !c.runMember(t, m, budget) {
-					return
-				}
-			}
-			if st != nil {
-				st.Completions++
-			}
-			if c.IP != t.start || c.Steps >= budget {
-				return
-			}
-			if st != nil {
-				st.LoopBacks++
-			}
-		}
-	}
 	for {
-		if t.stackWords > 0 {
-			// One batched pretouch for the stack span the whole chain's
-			// PUSH/CALL runs provably write below the entry ESP.
-			c.Mem.PretouchWriteSpan(c.Reg[isa.ESP]-4*t.stackWords, 4*t.stackWords)
-		}
 		for mi := range t.members {
 			m := &t.members[mi]
 			if mi > 0 && c.IP != m.blk.Start {

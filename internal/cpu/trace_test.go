@@ -17,9 +17,9 @@ import (
 //	      jnz b0
 //	      hlt
 //
-// Every interior block ends in an unconditional direct jump — the shape
-// the recorder chains, the direct-threading analysis fuses, and the
-// deferred-retirement path accelerates.
+// Every interior block ends in an unconditional direct jump: a chain of
+// two-instruction blocks, the dispatch-bound shape the recorder chains
+// into one looping trace.
 func chainCode(nblocks int, iters uint32) []byte {
 	var code []byte
 	add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
@@ -298,7 +298,7 @@ func TestTracePolicyToggleInvalidation(t *testing.T) {
 
 // TestTraceBudgetExact sweeps budgets across the hot chain and asserts
 // StepLimit fires at exactly the same instruction in all three tiers —
-// partial retirement through fused, deferred and stepped members alike.
+// partial retirement through trace members and stepped code alike.
 func TestTraceBudgetExact(t *testing.T) {
 	code := chainCode(4, 30)
 	for budget := uint64(0); budget <= 280; budget += 7 {

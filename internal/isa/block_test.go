@@ -33,15 +33,3 @@ func TestWritesMem(t *testing.T) {
 		}
 	}
 }
-
-// TestWritesStack pins the ESP-relative store set used for the snapshot
-// pretouch hoist — writers only, so the hoist never dirties the undo
-// log for a page the block merely reads.
-func TestWritesStack(t *testing.T) {
-	want := map[Op]bool{PUSH: true, PUSHI: true, CALL: true, CALLR: true}
-	for op := Op(0); op < numOps; op++ {
-		if WritesStack(op) != want[op] {
-			t.Errorf("WritesStack(%v) = %v, want %v", op, WritesStack(op), want[op])
-		}
-	}
-}

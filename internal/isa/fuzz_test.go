@@ -71,3 +71,30 @@ func TestLenFromOpcodeConsistent(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeRoundTrip disassembles arbitrary bytes and requires every
+// decoded instruction to encode back to its own length and decode to an
+// equal Instr, so one instruction has exactly one Instr value. Neither
+// Disassemble nor Listing may panic.
+func FuzzDecodeRoundTrip(f *testing.F) {
+	f.Add([]byte{0xFF, 0x31}) // call ebx with a nonzero unused nibble
+	f.Fuzz(func(t *testing.T, code []byte) {
+		lines := Disassemble(code, 0x1000)
+		_ = Listing(lines)
+		for _, l := range lines {
+			if l.Bad {
+				continue
+			}
+			enc, err := Encode(nil, l.Instr)
+			if err != nil {
+				t.Fatalf("% x decodes to %#v, which does not encode: %v", l.Bytes, l.Instr, err)
+			}
+			if len(enc) != len(l.Bytes) {
+				t.Fatalf("% x decodes to %#v, which encodes to % x", l.Bytes, l.Instr, enc)
+			}
+			if again, err := Decode(enc, 0); err != nil || again != l.Instr {
+				t.Fatalf("% x decodes to %#v; its encoding % x decodes to %#v (err %v)", l.Bytes, l.Instr, enc, again, err)
+			}
+		}
+	})
+}

@@ -407,6 +407,9 @@ func Decode(b []byte, addr uint32) (Instr, error) {
 		if in.Rd >= NumRegs || in.Rs >= NumRegs {
 			return Instr{}, &DecodeErr{Addr: addr, Opcode: op0}
 		}
+		if info.format == FR {
+			in.Rs = 0 // unused nibble; canonicalize
+		}
 		in.Size = 2
 	case FMem, FRI:
 		if len(b) < 6 {
@@ -460,8 +463,6 @@ func IsControlFlow(op Op) bool {
 // every decoded instruction.
 var endsBlock [numOps]bool
 var writesMem [numOps]bool
-var writesStack [numOps]bool
-var accessesMem [numOps]bool
 
 func init() {
 	// Terminators: every instruction after which straight-line decoding
@@ -481,27 +482,6 @@ func init() {
 	for _, op := range []Op{PUSH, PUSHI, STOREW, STOREB} {
 		writesMem[op] = true
 	}
-	// Ops that write the stack page just below the current ESP — the one
-	// data write a straight-line block can be proven to make. CALL/CALLR
-	// qualify too: a block containing one (as its terminator) pushes the
-	// return address before transferring.
-	for _, op := range []Op{PUSH, PUSHI, CALL, CALLR} {
-		writesStack[op] = true
-	}
-	// Ops that touch data memory at all — any read or write, stack or
-	// heap, sequential or as part of a transfer. The complement (the
-	// register-only ops) is what lets the trace tier defer per-
-	// instruction IP/step bookkeeping across a member: an instruction
-	// that never performs a data access can neither consult the data-
-	// access policy checkers nor record a memory fault, which are the
-	// only consumers of the architectural IP mid-block.
-	for _, op := range []Op{
-		RET, LEAVE, PUSH, POP, PUSHI,
-		LOADW, STOREW, LOADB, STOREB,
-		CALL, CALLR, INT,
-	} {
-		accessesMem[op] = true
-	}
 }
 
 // EndsBlock reports whether op terminates a basic block: after it, the
@@ -514,22 +494,6 @@ func EndsBlock(op Op) bool { return endsBlock[op] }
 // cached decode after any such store, so code that rewrites the block
 // currently executing is picked up exactly as the stepping engine would.
 func WritesMem(op Op) bool { return writesMem[op] }
-
-// WritesStack reports whether op stores through ESP
-// (PUSH/PUSHI/CALL/CALLR). Blocks containing such ops provably dirty
-// the page just below the entry ESP, which lets the block engine hoist
-// the snapshot undo-log first-touch save for that page to block entry.
-// Stack reads (POP/LEAVE/RET) deliberately do not qualify: pretouching
-// for them would dirty the undo log — and force a page re-copy on every
-// restore — for pages the block never writes.
-func WritesStack(op Op) bool { return writesStack[op] }
-
-// AccessesMem reports whether op reads or writes data memory in any way
-// (loads, stores, every stack operation, and INT, which pushes trap
-// state). Register-only instructions — the complement — are the ones the
-// trace tier may execute with deferred IP/step retirement, because
-// nothing inside their execution observes the architectural IP.
-func AccessesMem(op Op) bool { return accessesMem[op] }
 
 // IsIndirect reports whether op transfers control to a value taken from a
 // register or the stack — the transfers a code-reuse attack hijacks and the

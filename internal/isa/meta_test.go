@@ -10,8 +10,6 @@ import "testing"
 type opMeta struct {
 	endsBlock      bool // terminates straight-line decoding
 	writesMem      bool // sequential-path data store (SMC revalidation)
-	writesStack    bool // provable store below entry ESP (pretouch hoist)
-	accessesMem    bool // any data read or write (trace deferred retirement)
 	indirectBranch bool // forward-edge indirect transfer (CFI)
 	call           bool // pushes a return address (shadow stack)
 }
@@ -19,12 +17,12 @@ type opMeta struct {
 var opMetaTable = map[Op]opMeta{
 	NOP:    {},
 	HLT:    {endsBlock: true},
-	RET:    {endsBlock: true, accessesMem: true},
-	LEAVE:  {accessesMem: true},
+	RET:    {endsBlock: true},
+	LEAVE:  {},
 	TRAP:   {endsBlock: true},
-	PUSH:   {writesMem: true, writesStack: true, accessesMem: true},
-	POP:    {accessesMem: true},
-	PUSHI:  {writesMem: true, writesStack: true, accessesMem: true},
+	PUSH:   {writesMem: true},
+	POP:    {},
+	PUSHI:  {writesMem: true},
 	MOVI:   {},
 	MOV:    {},
 	ADD:    {},
@@ -42,12 +40,12 @@ var opMetaTable = map[Op]opMeta{
 	SAR:    {},
 	NEG:    {},
 	NOT:    {},
-	CALLR:  {endsBlock: true, writesStack: true, accessesMem: true, indirectBranch: true, call: true},
+	CALLR:  {endsBlock: true, indirectBranch: true, call: true},
 	JMPR:   {endsBlock: true, indirectBranch: true},
-	LOADW:  {accessesMem: true},
-	STOREW: {writesMem: true, accessesMem: true},
-	LOADB:  {accessesMem: true},
-	STOREB: {writesMem: true, accessesMem: true},
+	LOADW:  {},
+	STOREW: {writesMem: true},
+	LOADB:  {},
+	STOREB: {writesMem: true},
 	LEA:    {},
 	ADDI:   {},
 	SUBI:   {},
@@ -55,7 +53,7 @@ var opMetaTable = map[Op]opMeta{
 	ORI:    {},
 	XORI:   {},
 	CMPI:   {},
-	CALL:   {endsBlock: true, writesStack: true, accessesMem: true, call: true},
+	CALL:   {endsBlock: true, call: true},
 	JMP:    {endsBlock: true},
 	JZ:     {endsBlock: true},
 	JNZ:    {endsBlock: true},
@@ -67,7 +65,7 @@ var opMetaTable = map[Op]opMeta{
 	JA:     {endsBlock: true},
 	JAE:    {endsBlock: true},
 	JBE:    {endsBlock: true},
-	INT:    {endsBlock: true, accessesMem: true},
+	INT:    {endsBlock: true},
 }
 
 // TestOpMetadataExhaustive cross-checks every opcode's expected
@@ -89,12 +87,6 @@ func TestOpMetadataExhaustive(t *testing.T) {
 		if got := WritesMem(op); got != want.writesMem {
 			t.Errorf("WritesMem(%v) = %v, want %v", op, got, want.writesMem)
 		}
-		if got := WritesStack(op); got != want.writesStack {
-			t.Errorf("WritesStack(%v) = %v, want %v", op, got, want.writesStack)
-		}
-		if got := AccessesMem(op); got != want.accessesMem {
-			t.Errorf("AccessesMem(%v) = %v, want %v", op, got, want.accessesMem)
-		}
 		if got := IsIndirectBranch(op); got != want.indirectBranch {
 			t.Errorf("IsIndirectBranch(%v) = %v, want %v", op, got, want.indirectBranch)
 		}
@@ -108,24 +100,12 @@ func TestOpMetadataExhaustive(t *testing.T) {
 // execution tiers rely on, independent of the per-op table above.
 func TestOpMetadataInvariants(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
-		// Any kind of store is a memory access: the trace tier's deferred
-		// retirement (regOnly members) keys off AccessesMem alone.
-		if WritesMem(op) && !AccessesMem(op) {
-			t.Errorf("%v writes memory but is not classified as accessing it", op)
-		}
-		if WritesStack(op) && !AccessesMem(op) {
-			t.Errorf("%v writes the stack but is not classified as accessing memory", op)
-		}
 		// Control transfers and machine stops all terminate blocks.
 		if IsControlFlow(op) && !EndsBlock(op) {
 			t.Errorf("%v is control flow but does not end a block", op)
 		}
 		if IsIndirectBranch(op) && !EndsBlock(op) {
 			t.Errorf("%v is an indirect branch but does not end a block", op)
-		}
-		// Calls push a return address: stack writers and memory accessors.
-		if IsCall(op) && (!WritesStack(op) || !AccessesMem(op)) {
-			t.Errorf("%v is a call but lacks stack-write/memory-access metadata", op)
 		}
 		// The indirect set is exactly the indirect branches plus RET.
 		if IsIndirect(op) != (IsIndirectBranch(op) || op == RET) {

@@ -122,10 +122,10 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 			// Roll back only the span the run wrote — every content
 			// mutation path routes through touch, which maintains it.
 			// An untouched span with unchanged permissions (a page saved
-			// by PretouchWrite or Protect and then left alone) is
-			// byte-identical to the checkpoint already: skip the copy
-			// AND the write-generation bump, keeping decodes, blocks and
-			// traces over it warm across the reset.
+			// by Protect and then left alone) is byte-identical to the
+			// checkpoint already: skip the copy AND the write-generation
+			// bump, keeping decodes, blocks and traces over it warm
+			// across the reset.
 			if cur.dlo < cur.dhi {
 				copy(cur.writable()[cur.dlo:cur.dhi], u.data[cur.dlo:cur.dhi])
 				// The rollback rewrote this page's bytes: decodes cached
@@ -165,49 +165,6 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 	return nil
 }
 
-// PretouchWrite pre-saves the page containing addr into the active
-// checkpoint's undo log, as if a write to addr had just occurred (a no-op
-// without an active checkpoint, for an already-saved page, or for an
-// unmapped address). The CPU's block engine calls it once at block entry
-// for the stack page a block's PUSH/CALL run provably writes, hoisting
-// the undo log's first-touch bookkeeping out of the per-write path: the
-// in-block epoch compares then always take the already-saved fast branch.
-// Saving a page that then is not written is harmless — restore puts back
-// bytes that never changed.
-func (m *Memory) PretouchWrite(addr uint32) {
-	if m.snap == nil {
-		return
-	}
-	if p := m.page(addr); p != nil && p.seq != m.snap.seq {
-		m.snap.save(addr>>pageShift, p)
-	}
-}
-
-// PretouchWriteSpan is PretouchWrite for every page overlapping
-// [addr, addr+size): one call per trace hoists the undo-log bookkeeping
-// for the whole stack span a superblock's chained PUSH/CALL runs provably
-// write. Unmapped pages in the span are skipped (their writes will fault
-// or slow-path as usual), and a span that would wrap the address space is
-// ignored — the pretouch is an optimization, never a semantic
-// requirement.
-func (m *Memory) PretouchWriteSpan(addr, size uint32) {
-	if m.snap == nil || size == 0 {
-		return
-	}
-	end := addr + size - 1
-	if end < addr {
-		return // wraps the address space
-	}
-	for pn, last := addr>>pageShift, end>>pageShift; ; pn++ {
-		if p := m.pageAt(pn); p != nil && p.seq != m.snap.seq {
-			m.snap.save(pn, p)
-		}
-		if pn == last {
-			break
-		}
-	}
-}
-
 // save records page p (number pn) on this cycle's dirty list — and, on
 // the page's first-ever touch under this checkpoint, copies its
 // pre-checkpoint state into the undo log — then stamps it saved so the
@@ -215,9 +172,9 @@ func (m *Memory) PretouchWriteSpan(addr, size uint32) {
 // before mutating the page.
 func (cp *Checkpoint) save(pn uint32, p *page) {
 	p.seq = cp.seq
-	// A fresh cycle for this page: no bytes written yet. PretouchWrite
-	// and Protect save pages that may then never be written; an empty
-	// span at Restore means their content (and cached decodes) survive.
+	// A fresh cycle for this page: no bytes written yet. Protect saves
+	// pages that may then never be written; an empty span at Restore
+	// means their content (and cached decodes) survive.
 	p.dlo, p.dhi = PageSize, 0
 	cp.dirty = append(cp.dirty, pn)
 	if _, ok := cp.pages[pn]; ok {

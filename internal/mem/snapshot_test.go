@@ -392,37 +392,3 @@ func TestRestoreBumpsWriteStamps(t *testing.T) {
 		t.Fatal("untouched page lost its write stamp (cache needlessly cold)")
 	}
 }
-
-// TestPretouchWrite: pretouching saves the page into the undo log (so a
-// later restore still recovers checkpoint bytes) without changing any
-// observable memory state, and is a no-op on unmapped addresses or
-// without a checkpoint.
-func TestPretouchWrite(t *testing.T) {
-	m := New()
-	if err := m.Map(0x1000, PageSize, RW); err != nil {
-		t.Fatal(err)
-	}
-	m.PretouchWrite(0x1000) // no checkpoint: no-op
-	cp := m.Checkpoint()
-	m.PretouchWrite(0x9000) // unmapped: no-op
-	m.PretouchWrite(0x1004)
-	// The page is now saved: writes after the pretouch must still be
-	// rolled back to checkpoint content.
-	if err := m.Write32(0x1004, 0xdeadbeef); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := m.Read32(0x1004); err != nil || v != 0 {
-		t.Fatalf("restore after pretouch: got %#x err %v, want 0", v, err)
-	}
-	// Pretouching a page that is then never written is harmless.
-	m.PretouchWrite(0x1000)
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Read32(0x1004); v != 0 {
-		t.Fatalf("idle pretouch corrupted restore: %#x", v)
-	}
-}
