@@ -10,13 +10,16 @@
 // re-randomizing ASLR layouts and canary values per trial, and the
 // output is a success-rate table (or a JSON report with -json). Results
 // are independent of -jobs. The sweep flags — including the telemetry
-// flags -metrics/-guestprof/-evtrace/-enginestats — are shared with
+// flags -metrics/-guestprof/-evtrace/-stats — are shared with
 // cmd/secsim through internal/harness/cli; giving any telemetry flag
 // runs the default group as a sweep so there is something to collect.
+// -machine selects the T3 matrix, or t3 as that default group; next to
+// -group, -scenarios or -list it would change nothing, so it is refused
+// with exit 2.
 //
 //	attacklab -trials 256 -jobs 8
 //	attacklab -group mc-aslr -trials 1000 -json
-//	attacklab -group cfi -trials 8 -metrics cfi.json -enginestats
+//	attacklab -group cfi -trials 8 -metrics cfi.json -stats
 //
 // The fuzz group runs coverage-guided fuzzing campaigns (internal/fuzz)
 // instead of replaying hand-written exploits: each trial is a complete
@@ -54,6 +57,10 @@ func main() {
 	flag.Parse()
 	if err := sweep.Check(); err != nil {
 		fmt.Fprintln(os.Stderr, "attacklab:", err)
+		os.Exit(2)
+	}
+	if *machine && (sweep.Group != "" || sweep.List || *list) {
+		fmt.Fprintln(os.Stderr, "attacklab: -machine has no effect with -group/-scenarios/-list (it selects the T3 matrix, or the t3 group in a sweep)")
 		os.Exit(2)
 	}
 

@@ -18,15 +18,15 @@
 // platform runs — classic, canary-below-vla, or inverted-locals — and
 // -engine selects the
 // execution tier (step, block, or trace — bit-identical, trace fastest).
-// The shared telemetry flags collect per-trial metrics: -enginestats
-// prints the block/trace dispatch counters and the superblock length
-// histogram, -metrics writes the merged counter registry as JSON,
-// -guestprof writes a deterministic folded-stacks guest profile (and
-// prints the hot-cost table), and -evtrace writes engine events as
-// Chrome trace_event JSON. All four work on single trials and sweeps:
+// The shared telemetry flags collect per-trial metrics: -stats prints
+// every counter and histogram of the merged registry, one line each and
+// sorted by name, -metrics writes the same registry as JSON, -guestprof
+// writes a deterministic folded-stacks guest profile (and prints the
+// hot-cost table), and -evtrace writes engine events as Chrome
+// trace_event JSON. All four work on single trials and sweeps:
 //
 //	secsim -attack rop-chain -dep -engine step       # reference tier
-//	secsim -attack rop-chain -dep -enginestats       # trace-tier counters
+//	secsim -attack rop-chain -dep -stats             # the trial's counters
 //	secsim -attack stack-smash-inject -dep -trials 8 -jobs 2 \
 //	    -metrics m.json -guestprof p.txt -evtrace t.json
 //
@@ -40,6 +40,10 @@
 //	secsim -scenario mc/aslr/rop-chain -trials 256 -json
 //	secsim -group fuzz -trials 2
 //	secsim -scenarios
+//
+// A registered cell bakes in its attack and mitigations, so these modes
+// refuse -attack, -v and the mitigation flags with exit 2; -v, which
+// prints one trial's victim and output, is refused on sweeps too.
 package main
 
 import (
@@ -56,14 +60,14 @@ import (
 func main() {
 	var (
 		name    = flag.String("attack", "stack-smash-inject", "attack name (see -list on attacklab)")
-		scen    = flag.String("scenario", "", "sweep a registered harness scenario by name (see -scenarios); the cell's config is baked in, so -attack and the mitigation flags are ignored")
+		scen    = flag.String("scenario", "", "sweep a registered harness scenario by name (see -scenarios); the cell's config is baked in, so -attack, -v and the mitigation flags are refused")
 		canary  = flag.Bool("canary", false, "stack canaries")
 		dep     = flag.Bool("dep", false, "Data Execution Prevention")
 		aslr    = flag.Bool("aslr", false, "ASLR")
 		checked = flag.Bool("checked", false, "checked dialect + fortified libc")
 		shadow  = flag.Bool("shadowstack", false, "hardware shadow stack (exact backward-edge CFI)")
 		cfiLvl  = flag.String("cfi", "", "control-flow integrity precision: coarse or fine (label-table CFI over the recovered CFG)")
-		verbose = flag.Bool("v", false, "print victim source and output")
+		verbose = flag.Bool("v", false, "print victim source and output (a single trial only)")
 		sweep   cli.Sweep
 	)
 	sweep.Register(flag.CommandLine, 42)
@@ -78,19 +82,17 @@ func main() {
 		os.Exit(2)
 	}
 	if *scen != "" || sweep.List || sweep.Group != "" {
-		// Registered scenarios bake in their own victim and mitigation
-		// config; refuse silently-ignored flags rather than sweep a
-		// configuration the user did not ask for.
-		for _, conflicting := range []struct {
-			set  bool
-			name string
-		}{{*canary, "-canary"}, {*dep, "-dep"}, {*aslr, "-aslr"}, {*checked, "-checked"},
-			{*shadow, "-shadowstack"}, {*cfiLvl != "", "-cfi"}} {
-			if conflicting.set {
-				fmt.Fprintf(os.Stderr, "secsim: %s has no effect with -scenario/-scenarios/-group (the cell's mitigation config is baked in)\n", conflicting.name)
+		// Registered scenarios bake in their own attack, victim and
+		// mitigation config; refuse silently-ignored flags rather than
+		// sweep a configuration the user did not ask for.
+		ignored := map[string]bool{"attack": true, "v": true, "canary": true, "dep": true,
+			"aslr": true, "checked": true, "shadowstack": true, "cfi": true}
+		flag.Visit(func(f *flag.Flag) {
+			if ignored[f.Name] {
+				fmt.Fprintf(os.Stderr, "secsim: -%s has no effect with -scenario/-scenarios/-group (the cell's attack and mitigation config are baked in)\n", f.Name)
 				os.Exit(2)
 			}
-		}
+		})
 		runScenarios(*scen, &sweep)
 		return
 	}
@@ -127,6 +129,10 @@ func main() {
 	// (report + merged metrics), so a single trial runs as a 1-trial
 	// sweep rather than growing a second record shape.
 	if sweep.Trials > 1 || sweep.JSON || sweep.RunLog != "" {
+		if *verbose {
+			fmt.Fprintln(os.Stderr, "secsim: -v has no effect on a sweep (-trials above 1, -json or -runlog); it prints one trial's victim and output")
+			os.Exit(2)
+		}
 		runSweep(*spec, m, &sweep)
 		return
 	}

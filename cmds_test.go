@@ -286,6 +286,19 @@ main:
 		{"attacklab -metrics in a missing directory exits 2", "attacklab",
 			[]string{"-group", "cfi", "-metrics", missing + "/m.json"},
 			"-metrics " + missing + "/m.json: no directory " + missing},
+		// A flag the selected mode would ignore is refused, not dropped.
+		{"secsim -attack with -group exits 2", "secsim",
+			[]string{"-group", "t3", "-attack", "rop-chain", "-trials", "1"},
+			"-attack has no effect with -scenario/-scenarios/-group (the cell's attack and mitigation config are baked in)"},
+		{"secsim -v with -scenario exits 2", "secsim",
+			[]string{"-scenario", "fuzz/echo/none", "-v"},
+			"-v has no effect with -scenario/-scenarios/-group (the cell's attack and mitigation config are baked in)"},
+		{"secsim -v on an attack sweep exits 2", "secsim",
+			[]string{"-attack", "rop-chain", "-dep", "-trials", "2", "-v"},
+			"-v has no effect on a sweep (-trials above 1, -json or -runlog); it prints one trial's victim and output"},
+		{"attacklab -machine with -group exits 2", "attacklab",
+			[]string{"-machine", "-group", "cfi"},
+			"-machine has no effect with -group/-scenarios/-list (it selects the T3 matrix, or the t3 group in a sweep)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {
@@ -318,22 +331,57 @@ main:
 			}
 		}
 	})
-	t.Run("secsim enginestats", func(t *testing.T) {
-		out := runTool(t, bin, "secsim", 1, "-attack", "rop-chain", "-dep", "-enginestats")
-		for _, want := range []string{"block stats:", "trace stats:", "trace exits:", "trace len:"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("engine stats missing %q:\n%s", want, out)
+	// -stats lists every counter and histogram of the run's registry;
+	// one name from each family shows the whole registry is rendered.
+	statsFamilies := []string{"cpu.block.dispatches", "buildcache.hits", "harness.warm_restores"}
+	t.Run("secsim -stats", func(t *testing.T) {
+		// A single trial lists its own counters after the outcome lines.
+		out := runTool(t, bin, "secsim", 1, "-attack", "rop-chain", "-dep", "-stats")
+		if i, j := strings.Index(out, "outcome:"), strings.Index(out, "\ncpu.steps.retired "); i < 0 || j < i {
+			t.Fatalf("single-trial listing missing or before the outcome:\n%s", out)
+		}
+		// In -json mode the listing goes to stderr and stdout stays JSON.
+		stdout, stderr := runToolStd(t, bin, "secsim", 0, "-group", "cfi", "-trials", "2", "-jobs", "2", "-json", "-stats")
+		if !strings.HasPrefix(stdout, "{") || strings.Contains(stdout, "buildcache.hits") {
+			t.Fatalf("stdout is not pure report JSON:\n%.400s", stdout)
+		}
+		for _, want := range statsFamilies {
+			if !strings.Contains(stderr, "\n"+want+" ") {
+				t.Fatalf("-stats listing missing %q:\n%s", want, stderr)
 			}
 		}
 	})
-	t.Run("attacklab enginestats over a sweep", func(t *testing.T) {
-		// Telemetry flags imply sweep mode, so attacklab now renders the
-		// same registry-backed counters secsim does.
-		out := runTool(t, bin, "attacklab", 0, "-group", "cfi", "-trials", "1", "-enginestats")
-		for _, want := range []string{"cfi/jop-entry-reuse/coarse", "block stats:", "trace stats:"} {
+	t.Run("attacklab -stats over a sweep", func(t *testing.T) {
+		// Telemetry flags imply sweep mode, so attacklab renders the same
+		// registry listing secsim does, after the table.
+		out := runTool(t, bin, "attacklab", 0, "-group", "cfi", "-trials", "1", "-stats")
+		for _, want := range append([]string{"cfi/jop-entry-reuse/coarse"}, statsFamilies...) {
 			if !strings.Contains(out, want) {
-				t.Fatalf("attacklab enginestats missing %q:\n%s", want, out)
+				t.Fatalf("attacklab -stats missing %q:\n%s", want, out)
 			}
+		}
+		// -stats alone is a telemetry flag too: it sweeps t1.
+		out = runTool(t, bin, "attacklab", 0, "-stats")
+		if !strings.Contains(out, "t1/rop-chain/dep") || !strings.Contains(out, "\nbuildcache.hits ") {
+			t.Fatalf("attacklab -stats did not sweep t1 with a listing:\n%s", out)
+		}
+	})
+	t.Run("observers leave the output unchanged", func(t *testing.T) {
+		// Report bytes are identical with any observer on or off, and
+		// the -stats listing itself does not depend on -jobs.
+		args := []string{"-group", "cfi", "-trials", "2", "-jobs", "2", "-json"}
+		plain, _ := runToolStd(t, bin, "secsim", 0, args...)
+		for _, observer := range [][]string{
+			{"-stats"}, {"-metrics", filepath.Join(work, "observed.json")}, {"-progress", "on"},
+		} {
+			if out, _ := runToolStd(t, bin, "secsim", 0, append(args, observer...)...); out != plain {
+				t.Fatalf("%v changed the report:\n%s\nvs\n%s", observer, out, plain)
+			}
+		}
+		j1 := runTool(t, bin, "attacklab", 0, "-group", "t1", "-trials", "3", "-jobs", "1", "-stats")
+		j2 := runTool(t, bin, "attacklab", 0, "-group", "t1", "-trials", "3", "-jobs", "2", "-stats")
+		if j1 != j2 {
+			t.Fatalf("-stats output differs between jobs 1 and 2:\n%s\nvs\n%s", j1, j2)
 		}
 	})
 	t.Run("secsim telemetry artifacts", func(t *testing.T) {

@@ -94,8 +94,9 @@ type Cache[K comparable, V any] struct {
 }
 
 // New registers a named cache with the given capacity (entries). The
-// name shows up in -cachestats listings; capacity bounds memory, not
-// correctness (see the package comment on eviction).
+// name keys its published counters (buildcache.<name>.hits, ...);
+// capacity bounds memory, not correctness (see the package comment on
+// eviction).
 func New[K comparable, V any](name string, capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
@@ -208,7 +209,7 @@ func ResetAll() {
 // TotalStats sums the counters of every registered cache.
 func TotalStats() Stats {
 	var t Stats
-	Each(func(_ string, s Stats) {
+	each(func(_ string, s Stats) {
 		t.Hits += s.Hits
 		t.Misses += s.Misses
 		t.Evictions += s.Evictions
@@ -227,7 +228,7 @@ func TotalStats() Stats {
 // cross-run diffs of the counters are meaningful.
 func PublishCounters(count func(name string, v uint64)) {
 	var t Stats
-	Each(func(name string, s Stats) {
+	each(func(name string, s Stats) {
 		count("buildcache."+name+".hits", s.Hits)
 		count("buildcache."+name+".misses", s.Misses)
 		count("buildcache."+name+".evictions", s.Evictions)
@@ -240,9 +241,9 @@ func PublishCounters(count func(name string, v uint64)) {
 	count("buildcache.evictions", t.Evictions)
 }
 
-// Each visits every registered cache in name order with a counter
-// snapshot — the -cachestats listing.
-func Each(fn func(name string, s Stats)) {
+// each visits every registered cache in name order with a counter
+// snapshot.
+func each(fn func(name string, s Stats)) {
 	regMu.Lock()
 	caches := append([]resettable(nil), registry...)
 	regMu.Unlock()

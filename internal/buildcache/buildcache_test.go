@@ -191,7 +191,7 @@ func TestTotalStatsAggregates(t *testing.T) {
 		t.Fatalf("TotalStats = %+v, want >=2 hits and >=2 misses", tot)
 	}
 	var saw int
-	Each(func(name string, s Stats) {
+	each(func(name string, s Stats) {
 		if name == "test.agg.a" || name == "test.agg.b" {
 			saw++
 			if s.Hits != 1 || s.Misses != 1 {

@@ -6,7 +6,6 @@ import (
 	"softsec/internal/cfi"
 	"softsec/internal/harness"
 	"softsec/internal/kernel"
-	"softsec/internal/telemetry"
 )
 
 // The CFI grid: the paper's code-reuse chapter closes with control-flow
@@ -132,31 +131,15 @@ func CFIScenarios() []harness.Scenario {
 	attacks := append(CFIHijackAttacks(), cfiContrastAttacks()...)
 	for _, a := range attacks {
 		for _, lv := range CFILevels() {
-			a, lv := a, lv
-			out = append(out, harness.Scenario{
-				Name:  "cfi/" + a.Name + "/" + lv.Name,
-				Group: "cfi",
-				Meta: map[string]string{
-					"attack":     a.Name,
-					"mitigation": "cfi/" + lv.Name,
-				},
-				Run: func(t harness.Trial) harness.TrialResult {
-					return runCFITrial(a, lv, t.Telemetry)
-				},
-				// CFI deployments are fully deterministic (no ASLR, no
-				// canary), so every cell is warm-eligible.
-				Warm: warmCellSpec(a, cfiMitigations(lv)),
-			})
+			// CFI deployments are fully deterministic (no ASLR, no
+			// canary), so trials repeat and every cell is warm-eligible;
+			// trial counts pin stability, not sample randomness.
+			out = append(out, attackCell("cfi/"+a.Name+"/"+lv.Name, "cfi",
+				map[string]string{"attack": a.Name, "mitigation": "cfi/" + lv.Name},
+				a, cfiMitigations(lv), false))
 		}
 	}
 	return out
-}
-
-// runCFITrial runs one (attack, CFI level) cell. The deployment is
-// deterministic (no ASLR, no canary), so trials repeat; trial counts
-// exist to pin stability, not to sample randomness.
-func runCFITrial(a AttackSpec, lv CFILevel, spec *telemetry.Spec) harness.TrialResult {
-	return runTrialCell(a, cfiMitigations(lv), spec)
 }
 
 // cfiMitigations is the deployment a CFI-grid level runs under.

@@ -64,6 +64,28 @@ func TestHarnessDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestTrialMitigations pins the per-trial reseeding rule against its
+// predicate: a config changes from trial to trial exactly when
+// warmReseeds says so, the deployment label never changes, and a
+// seeded canary never falls back to the predictable one (seed zero),
+// which an unseeded canary keeps.
+func TestTrialMitigations(t *testing.T) {
+	configs := append(StandardConfigs(), ProfileGridConfigs()...)
+	configs = append(configs, Mitigations{Canary: true}, Mitigations{ASLR: true, Profile: "inverted-locals"})
+	for _, m := range configs {
+		a, b := trialMitigations(m, 1), trialMitigations(m, 2)
+		if (a != b) != warmReseeds(m) {
+			t.Errorf("%+v: trials differ %v, warmReseeds %v", m, a != b, warmReseeds(m))
+		}
+		if a.String() != m.String() || a.Profile != m.Profile {
+			t.Errorf("%+v: reseeding changed the deployment to %+v", m, a)
+		}
+		if z := trialMitigations(m, canaryMix); m.Canary && (z.CanarySeed == 0) != (m.CanarySeed == 0) {
+			t.Errorf("%+v: canary seed %d at trial seed canaryMix", m, z.CanarySeed)
+		}
+	}
+}
+
 // TestASLRSweepViaHarness replaces the old 8-seed loop with a harness
 // sweep: the nominal-layout exploit must fail for every randomized
 // layout in the window.

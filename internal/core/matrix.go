@@ -37,38 +37,57 @@ func nonzeroSeed(s int64) int64 {
 
 // TrialScenario wraps one (attack, mitigation) cell as a harness
 // scenario. When perTrialSeeds is set, each trial re-randomizes what the
-// config randomizes: the ASLR layout seed, and the canary value when the
-// config uses an unpredictable canary (CanarySeed != 0 — a zero seed
-// deliberately models the predictable default canary and is preserved).
-// Deterministic configs simply repeat, which is what makes success *rates*
-// meaningful for the randomized ones.
+// config randomizes (see trialMitigations). Deterministic configs simply
+// repeat, which is what makes success *rates* meaningful for the
+// randomized ones.
 func TrialScenario(a AttackSpec, cfg Mitigations, perTrialSeeds bool) harness.Scenario {
 	label := cfg.String()
+	return attackCell("t1/"+a.Name+"/"+label, "t1",
+		map[string]string{"attack": a.Name, "mitigation": label}, a, cfg, perTrialSeeds)
+}
+
+// attackCell builds the harness scenario of one attack cell: every trial
+// runs attack a under m, redrawn from the trial seed by trialMitigations
+// when reseed is set. A cell whose effective config never changes across
+// trials — no reseeding at all, or a config the reseeding rule leaves
+// untouched — always loads the same victim at the same layout, so
+// workers may serve its trials from a warm snapshot.
+func attackCell(name, group string, meta map[string]string, a AttackSpec, m Mitigations, reseed bool) harness.Scenario {
 	sc := harness.Scenario{
-		Name:  "t1/" + a.Name + "/" + label,
-		Group: "t1",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": label},
+		Name:  name,
+		Group: group,
+		Meta:  meta,
 		Run: func(t harness.Trial) harness.TrialResult {
-			m := cfg
-			if perTrialSeeds {
-				if m.ASLR {
-					m.ASLRSeed = t.Seed
-				}
-				if m.Canary && m.CanarySeed != 0 {
-					m.CanarySeed = nonzeroSeed(t.Seed ^ canaryMix)
-				}
+			if reseed {
+				return runTrialCell(a, trialMitigations(m, t.Seed), t.Telemetry)
 			}
 			return runTrialCell(a, m, t.Telemetry)
 		},
 	}
-	// A cell whose effective config never changes across trials — no
-	// per-trial reseeding at all, or a config the reseeding rule leaves
-	// untouched — always loads the same victim at the same layout, so
-	// workers may serve its trials from a warm snapshot.
-	if !perTrialSeeds || !warmReseeds(cfg) {
-		sc.Warm = warmCellSpec(a, cfg)
+	if !reseed || !warmReseeds(m) {
+		sc.Warm = warmCellSpec(a, m)
 	}
 	return sc
+}
+
+// trialMitigations is the per-trial reseeding rule: a trial redraws
+// what m randomizes from its seed — the ASLR layout, and the canary
+// value when m uses an unpredictable canary (CanarySeed != 0; a zero
+// seed deliberately models the predictable default canary and is kept).
+func trialMitigations(m Mitigations, seed int64) Mitigations {
+	if m.ASLR {
+		m.ASLRSeed = seed
+	}
+	if m.Canary && m.CanarySeed != 0 {
+		m.CanarySeed = nonzeroSeed(seed ^ canaryMix)
+	}
+	return m
+}
+
+// warmReseeds reports whether trialMitigations redraws m every trial —
+// the condition that disqualifies warm reuse.
+func warmReseeds(m Mitigations) bool {
+	return m.ASLR || (m.Canary && m.CanarySeed != 0)
 }
 
 // T1Scenarios builds the full attack × mitigation grid as harness

@@ -139,57 +139,26 @@ func ProfileScenarios() []harness.Scenario {
 // grid dimension, under group "t1p".
 func profileTrialScenario(a AttackSpec, cfg Mitigations, profile string) harness.Scenario {
 	label := cfg.String()
-	sc := harness.Scenario{
-		Name:  "t1p/" + profile + "/" + a.Name + "/" + label,
-		Group: "t1p",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": label, "profile": profile},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := cfg
-			m.Profile = profile
-			if m.ASLR {
-				m.ASLRSeed = t.Seed
-			}
-			if m.Canary && m.CanarySeed != 0 {
-				m.CanarySeed = nonzeroSeed(t.Seed ^ canaryMix)
-			}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
-	if !warmReseeds(cfg) {
-		m := cfg
-		m.Profile = profile
-		sc.Warm = warmCellSpec(a, m)
-	}
-	return sc
+	cfg.Profile = profile
+	return attackCell("t1p/"+profile+"/"+a.Name+"/"+label, "t1p",
+		map[string]string{"attack": a.Name, "mitigation": label, "profile": profile}, a, cfg, true)
 }
 
 // aslrSweep runs the attack against ASLR alone, with a fresh layout seed
 // every trial. The interesting statistic is the survival rate — for a
 // sound implementation it should be (essentially) zero.
 func aslrSweep(a AttackSpec, profile string) harness.Scenario {
-	return harness.Scenario{
-		Name:  "mc/aslr/" + a.Name,
-		Group: "mc-aslr",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": "aslr"},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := Mitigations{ASLR: true, ASLRSeed: t.Seed, Profile: profile}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
+	return attackCell("mc/aslr/"+a.Name, "mc-aslr",
+		map[string]string{"attack": a.Name, "mitigation": "aslr"},
+		a, Mitigations{ASLR: true, Profile: profile}, true)
 }
 
 // canarySweep runs the attack against a canary whose secret value is
 // re-drawn every trial (plus DEP, the deployment it ships in).
 func canarySweep(a AttackSpec, profile string) harness.Scenario {
-	return harness.Scenario{
-		Name:  "mc/canary/" + a.Name,
-		Group: "mc-canary",
-		Meta:  map[string]string{"attack": a.Name, "mitigation": "canary+dep"},
-		Run: func(t harness.Trial) harness.TrialResult {
-			m := Mitigations{Canary: true, CanarySeed: nonzeroSeed(t.Seed ^ canaryMix), DEP: true, Profile: profile}
-			return runTrialCell(a, m, t.Telemetry)
-		},
-	}
+	return attackCell("mc/canary/"+a.Name, "mc-canary",
+		map[string]string{"attack": a.Name, "mitigation": "canary+dep"},
+		a, Mitigations{Canary: true, CanarySeed: 7, DEP: true, Profile: profile}, true)
 }
 
 // runTrialCell builds and runs one scenario instance and converts the

@@ -102,10 +102,3 @@ func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	}
 	return tr
 }
-
-// warmReseeds reports whether a per-trial-seeded cell would re-randomize
-// this config every trial — the condition that disqualifies warm reuse
-// (matrix.go's reseeding rule, kept in one place).
-func warmReseeds(m Mitigations) bool {
-	return m.ASLR || (m.Canary && m.CanarySeed != 0)
-}

@@ -2,7 +2,7 @@ package cpu
 
 // The basic-block execution engine.
 //
-// The stepping engine pays fetch dispatch, breakpoint and tracer tests,
+// The stepping engine pays fetch dispatch, breakpoint and profiler tests,
 // policy binding, and a policy exec check on every instruction. None of
 // that work depends on anything but the instruction stream, which is
 // immutable while its pages' write stamps hold — so this engine lifts it to
@@ -42,7 +42,7 @@ package cpu
 // engine would.
 //
 // Fallbacks (automatic, re-decided at every Run loop iteration): a
-// tracer hook, an armed breakpoint, a Policy without a block compiler,
+// profiler, an armed breakpoint, a Policy without a block compiler,
 // or a span the compiler refuses to summarize — all drive execution
 // through Step, the bit-identical semantic reference.
 

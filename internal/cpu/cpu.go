@@ -233,8 +233,6 @@ type CPU struct {
 	Coverage *Coverage
 	// Handler services INT instructions.
 	Handler TrapHandler
-	// Tracer, when non-nil, observes every instruction before execution.
-	Tracer func(ip uint32, in isa.Instr)
 
 	// Steps counts retired instructions; benchmark tables report
 	// countermeasure overheads in this deterministic unit.
@@ -278,8 +276,8 @@ type CPU struct {
 	Events *telemetry.Ring
 
 	// Prof, when non-nil, samples the sim PC on a deterministic
-	// instruction-count clock (see profiler.go). Like Tracer, a non-nil
-	// profiler pins Run to the stepping engine so profiles are identical
+	// instruction-count clock (see profiler.go). A non-nil profiler
+	// pins Run to the stepping engine so profiles are identical
 	// no matter which engine tier was requested.
 	Prof *Profiler
 
@@ -697,9 +695,6 @@ func (c *CPU) Step() bool {
 	if !ok {
 		return false
 	}
-	if c.Tracer != nil {
-		c.Tracer(c.IP, in)
-	}
 	if c.Prof != nil {
 		c.Prof.observe(c.IP)
 	}
@@ -989,16 +984,15 @@ func (c *CPU) cond(op isa.Op) bool {
 
 // Run executes until the CPU leaves the Running state or maxSteps
 // instructions retire, and returns the final state. Whenever the machine
-// configuration allows it — the block engine is enabled, no tracer or
-// profiler is observing, no breakpoints are armed — execution proceeds
-// basic-block-
-// at-a-time through the block cache (block.go), and with UseTraceEngine
-// also set, superblock-at-a-time through the trace cache (trace.go);
-// otherwise, and whenever a Policy that cannot summarize blocks is
-// installed, Run falls back to the single-step reference engine. All
-// tiers are bit-identical, including the StepLimit point: a block or
-// trace member that would exceed the budget partially retires and stops
-// exactly at maxSteps.
+// configuration allows it — the block engine is enabled, no profiler
+// is observing, no breakpoints are armed — execution proceeds
+// basic-block-at-a-time through the block cache (block.go), and with
+// UseTraceEngine also set, superblock-at-a-time through the trace cache
+// (trace.go); otherwise, and whenever a Policy that cannot summarize
+// blocks is installed, Run falls back to the single-step reference
+// engine. All tiers are bit-identical, including the StepLimit point: a
+// block or trace member that would exceed the budget partially retires
+// and stops exactly at maxSteps.
 //
 // The policy checkers are (re)bound once at entry and once per
 // dispatched block; Step rebinds only if the Policy field changes
@@ -1011,7 +1005,7 @@ func (c *CPU) Run(maxSteps uint64) State {
 			c.state = StepLimit
 			break
 		}
-		if UseBlockEngine && c.Tracer == nil && c.Prof == nil && len(c.breaks) == 0 {
+		if UseBlockEngine && c.Prof == nil && len(c.breaks) == 0 {
 			if UseTraceEngine {
 				c.traceStep(budget)
 			} else {

@@ -447,26 +447,6 @@ func TestPolicySeesSequentialFlow(t *testing.T) {
 	}
 }
 
-func TestTracerObservesInstructions(t *testing.T) {
-	var got []isa.Op
-	c := newMachine(t, build(
-		isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 1},
-		isa.Instr{Op: isa.NOP},
-		isa.Instr{Op: isa.HLT},
-	))
-	c.Tracer = func(ip uint32, in isa.Instr) { got = append(got, in.Op) }
-	c.Run(10)
-	want := []isa.Op{isa.MOVI, isa.NOP, isa.HLT}
-	if len(got) != len(want) {
-		t.Fatalf("traced %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("traced %v want %v", got, want)
-		}
-	}
-}
-
 func TestRunNotRestartableAfterExit(t *testing.T) {
 	c := newMachine(t, build(isa.Instr{Op: isa.HLT}))
 	c.Run(10)

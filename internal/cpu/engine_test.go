@@ -218,31 +218,6 @@ func TestBlockEngineBreakpointFallback(t *testing.T) {
 	}
 }
 
-// TestBlockEngineTracerFallback: a tracer must observe every retired
-// instruction in order, which only the stepping engine guarantees; the
-// engine selection honors it per Run iteration.
-func TestBlockEngineTracerFallback(t *testing.T) {
-	c := newMachine(t, build(
-		isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 1},
-		isa.Instr{Op: isa.ADDI, Rd: isa.EAX, Imm: 2},
-		isa.Instr{Op: isa.HLT},
-	))
-	var trace []uint32
-	c.Tracer = func(ip uint32, in isa.Instr) { trace = append(trace, ip) }
-	if st := c.Run(100); st != Halted {
-		t.Fatalf("state %v", st)
-	}
-	want := []uint32{textBase, textBase + 5, textBase + 11}
-	if len(trace) != len(want) {
-		t.Fatalf("traced %d instructions, want %d", len(trace), len(want))
-	}
-	for i, ip := range want {
-		if trace[i] != ip {
-			t.Fatalf("trace[%d] = %#x, want %#x", i, trace[i], ip)
-		}
-	}
-}
-
 // TestBlockEnginePolicyFallback: a Policy that does not implement
 // BlockCheckCompiler automatically falls back to stepping under Run and
 // enforces exactly as it would per instruction.

@@ -11,7 +11,7 @@ package cpu
 //
 // Engine independence is structural, not accidental: installing a
 // Profiler removes the block/trace dispatch from Run's engine selection
-// (exactly like a Tracer hook), so a profiled run always executes
+// (exactly like an armed breakpoint), so a profiled run always executes
 // through the single-step reference engine — the tier the other two are
 // bit-identical to. There is no way for profiles to differ across
 // -engine flags because the profiled machine never runs anything else.

@@ -43,7 +43,7 @@ func (c *CPU) SaveArch() ArchState {
 }
 
 // RestoreArch restores a state captured by SaveArch. Installed Policy,
-// Coverage, Handler, Tracer and breakpoints are configuration, not
+// Coverage, Handler and breakpoints are configuration, not
 // architectural state: they stay as they are.
 func (c *CPU) RestoreArch(s ArchState) {
 	c.Reg = s.Reg

@@ -8,8 +8,7 @@ package cpu
 // and installing a fresh struct starts a clean epoch — trials that want
 // isolated metrics attach fresh structs instead of trusting a shared
 // one to have been zeroed. Publish maps each struct onto namespaced
-// registry counters; Reset re-zeroes in place for callers that reuse a
-// struct across epochs (the bench helpers).
+// registry counters.
 
 import "softsec/internal/telemetry"
 
@@ -30,18 +29,6 @@ const numFaultKinds = int(FaultCFI) + 1
 type FaultStats struct {
 	Kinds [numFaultKinds]uint64
 }
-
-// Reset zeroes the counters so a reused struct starts a fresh epoch.
-func (st *DecodeStats) Reset() { *st = DecodeStats{} }
-
-// Reset zeroes the counters so a reused struct starts a fresh epoch.
-func (st *FaultStats) Reset() { *st = FaultStats{} }
-
-// Reset zeroes the counters so a reused struct starts a fresh epoch.
-func (st *BlockStats) Reset() { *st = BlockStats{} }
-
-// Reset zeroes the counters so a reused struct starts a fresh epoch.
-func (st *TraceStats) Reset() { *st = TraceStats{} }
 
 // Publish adds the decode-cache counters to s.
 func (st *DecodeStats) Publish(s *telemetry.Snap) {

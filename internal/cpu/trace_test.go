@@ -316,25 +316,6 @@ func TestTraceBudgetExact(t *testing.T) {
 	}
 }
 
-// TestTraceTracerDemotion: a Tracer forces the stepping engine; no trace
-// activity may occur, and every instruction is observed.
-func TestTraceTracerDemotion(t *testing.T) {
-	c := newMachine(t, chainCode(3, 50))
-	st := &TraceStats{}
-	c.TraceStats = st
-	n := 0
-	c.Tracer = func(ip uint32, in isa.Instr) { n++ }
-	if got := c.Run(1 << 20); got != Halted {
-		t.Fatalf("state %v", got)
-	}
-	if st.Formed != 0 || st.Dispatches != 0 {
-		t.Fatalf("trace activity under a tracer: %+v", *st)
-	}
-	if uint64(n) != c.Steps {
-		t.Fatalf("tracer saw %d instructions, steps = %d", n, c.Steps)
-	}
-}
-
 // TestTraceNonCompilerPolicyDemotion: a policy without a block compiler
 // forces stepping; the trace tier must not engage.
 func TestTraceNonCompilerPolicyDemotion(t *testing.T) {

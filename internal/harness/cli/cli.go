@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"softsec/internal/buildcache"
 	"softsec/internal/cpu"
 	"softsec/internal/harness"
 	"softsec/internal/layout"
@@ -48,16 +47,13 @@ type Sweep struct {
 	Profile string
 
 	// Telemetry outputs (see telemetry.go). Metrics, GuestProf and
-	// EvTrace name output files; EngineStats prints the engine counters
-	// after the run. Any of them set turns per-trial collection on.
-	Metrics     string
-	GuestProf   string
-	EvTrace     string
-	EngineStats bool
-
-	// CacheStats prints the per-cache build-cache counters and the
-	// warm/cold trial mix after the run.
-	CacheStats bool
+	// EvTrace name output files; Stats prints every counter and
+	// histogram of the run's merged registry after the run. Any of them
+	// set turns per-trial collection on.
+	Metrics   string
+	GuestProf string
+	EvTrace   string
+	Stats     bool
 
 	// Progress selects the live sweep renderer on stderr: "auto" (on
 	// only when stderr is a terminal — CI logs and JSON pipelines stay
@@ -90,8 +86,7 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 	fs.StringVar(&s.Metrics, "metrics", "", "write the merged telemetry registry as JSON to this file")
 	fs.StringVar(&s.GuestProf, "guestprof", "", "deterministic guest profile: write folded stacks to this file (forces the step engine)")
 	fs.StringVar(&s.EvTrace, "evtrace", "", "write engine events as Chrome trace_event JSON to this file")
-	fs.BoolVar(&s.EngineStats, "enginestats", false, "print block/trace engine counters after the run")
-	fs.BoolVar(&s.CacheStats, "cachestats", false, "print build-cache hit/miss counters and the warm/cold trial mix after the run")
+	fs.BoolVar(&s.Stats, "stats", false, "print every counter and histogram of the run's merged telemetry registry after the run, sorted by name")
 	fs.StringVar(&s.Progress, "progress", "auto", "live sweep progress on stderr: auto, on, or off (auto = only when stderr is a terminal)")
 	fs.StringVar(&s.RunLog, "runlog", "", "append this run's record (report, metrics, env, throughput) to this run-ledger directory (compare runs with rundiff)")
 	s.tool = filepath.Base(fs.Name())
@@ -248,7 +243,6 @@ func (s *Sweep) Run(w io.Writer, scs []harness.Scenario) (*harness.Report, error
 		if err := s.WriteOutputs(rep.Telemetry, os.Stderr); err != nil {
 			return nil, err
 		}
-		s.writeCacheStats(os.Stderr, rep)
 		return rep, nil
 	}
 	if _, err := io.WriteString(w, rep.Render()); err != nil {
@@ -257,7 +251,6 @@ func (s *Sweep) Run(w io.Writer, scs []harness.Scenario) (*harness.Report, error
 	if err := s.WriteOutputs(rep.Telemetry, w); err != nil {
 		return nil, err
 	}
-	s.writeCacheStats(w, rep)
 	return rep, nil
 }
 
@@ -303,19 +296,4 @@ func (s *Sweep) appendRunLog(rep *harness.Report, scs []harness.Scenario, elapse
 	}
 	fmt.Fprintf(os.Stderr, "runlog: appended run %d (%s) to %s\n", e.Seq, e.ID, s.RunLog)
 	return nil
-}
-
-// writeCacheStats renders the -cachestats listing: one line per build
-// cache, then the totals and the warm/cold trial mix.
-func (s *Sweep) writeCacheStats(w io.Writer, rep *harness.Report) {
-	if !s.CacheStats {
-		return
-	}
-	fmt.Fprintf(w, "build caches:\n")
-	buildcache.Each(func(name string, st buildcache.Stats) {
-		fmt.Fprintf(w, "  %-14s hits=%-6d misses=%-6d evictions=%d\n", name, st.Hits, st.Misses, st.Evictions)
-	})
-	tot := buildcache.TotalStats()
-	fmt.Fprintf(w, "  %-14s hits=%-6d misses=%-6d evictions=%d\n", "total", tot.Hits, tot.Misses, tot.Evictions)
-	fmt.Fprintf(w, "trial loads: warm_restores=%d cold_loads=%d\n", rep.WarmRestores, rep.ColdLoads)
 }

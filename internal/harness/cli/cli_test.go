@@ -38,11 +38,17 @@ func TestRegisterDefaults(t *testing.T) {
 	if s.Trials != 1 || s.Seed != 42 || s.JSON || s.List || s.Group != "" {
 		t.Fatalf("defaults wrong: %+v", s)
 	}
-	if err := fs.Parse([]string{"-trials", "8", "-jobs", "2", "-json", "-group", "g1"}); err != nil {
+	if s.TelemetrySpec() != nil {
+		t.Fatal("telemetry collection on by default")
+	}
+	if err := fs.Parse([]string{"-trials", "8", "-jobs", "2", "-json", "-group", "g1", "-stats"}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Trials != 8 || s.Jobs != 2 || !s.JSON || s.Group != "g1" {
+	if s.Trials != 8 || s.Jobs != 2 || !s.JSON || s.Group != "g1" || !s.Stats {
 		t.Fatalf("parsed wrong: %+v", s)
+	}
+	if s.TelemetrySpec() == nil {
+		t.Fatal("-stats did not turn telemetry collection on")
 	}
 }
 

@@ -1,18 +1,15 @@
 package cli
 
 // Telemetry flag plumbing shared by secsim and attacklab: -metrics,
-// -guestprof, -evtrace and -enginestats all ride the same per-trial
+// -guestprof, -evtrace and -stats all ride the same per-trial
 // collection spec, and WriteOutputs turns a merged registry into the
 // artifacts the flags name. Keeping this here (not in the drivers) is
-// what stops the binaries from drifting — the historical fate of the
-// trace-only -enginestats flag this replaces.
+// what stops the binaries from drifting.
 
 import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"softsec/internal/telemetry"
 )
@@ -20,11 +17,11 @@ import (
 // TelemetrySpec converts the telemetry flags into a collection spec:
 // nil (collection off, the zero-overhead default) when none was given.
 // -guestprof turns the deterministic profiler on; -evtrace the event
-// ring; -metrics and -enginestats need only counters, which every
-// non-nil spec collects. -runlog implies collection too: a run record
+// ring; -metrics and -stats need only counters, which every non-nil
+// spec collects. -runlog implies collection too: a run record
 // without its counters could not be diffed.
 func (s *Sweep) TelemetrySpec() *telemetry.Spec {
-	if s.Metrics == "" && s.GuestProf == "" && s.EvTrace == "" && !s.EngineStats && s.RunLog == "" {
+	if s.Metrics == "" && s.GuestProf == "" && s.EvTrace == "" && !s.Stats && s.RunLog == "" {
 		return nil
 	}
 	return &telemetry.Spec{
@@ -35,8 +32,8 @@ func (s *Sweep) TelemetrySpec() *telemetry.Spec {
 
 // WriteOutputs materializes every requested telemetry artifact from
 // reg: the metrics JSON, the folded guest profile, the Chrome
-// trace_event timeline, and the -enginestats rendering (plus the guest
-// hot-cost table when profiling) to w. A nil registry — telemetry was
+// trace_event timeline, and the -stats listing (plus the guest hot-cost
+// table when profiling) to w. A nil registry — telemetry was
 // off — writes nothing.
 func (s *Sweep) WriteOutputs(reg *telemetry.Registry, w io.Writer) error {
 	if reg == nil {
@@ -82,57 +79,8 @@ func (s *Sweep) WriteOutputs(reg *telemetry.Registry, w io.Writer) error {
 			return fmt.Errorf("evtrace: %w", werr)
 		}
 	}
-	if s.EngineStats {
-		if _, err := io.WriteString(w, RenderEngineStats(reg)); err != nil {
-			return err
-		}
+	if s.Stats {
+		return reg.WriteStats(w)
 	}
 	return nil
-}
-
-// RenderEngineStats formats the block- and trace-tier counters of a
-// merged registry, including the superblock length histogram — the
-// registry-backed successor of secsim's original single-trial printer,
-// same labels, now meaningful over whole sweeps on either binary.
-func RenderEngineStats(reg *telemetry.Registry) string {
-	c := reg.Counter
-	var b strings.Builder
-	fmt.Fprintf(&b, "block stats: dispatches=%d hits=%d builds=%d stepfalls=%d stales=%d\n",
-		c("cpu.block.dispatches"), c("cpu.block.hits"), c("cpu.block.builds"),
-		c("cpu.block.stepfalls"), c("cpu.block.stales")+c("cpu.block.selfstales"))
-	fmt.Fprintf(&b, "trace stats: formed=%d aborts=%d dispatches=%d completions=%d loopbacks=%d\n",
-		c("cpu.trace.formed"), c("cpu.trace.aborts"), c("cpu.trace.dispatches"),
-		c("cpu.trace.completions"), c("cpu.trace.loopbacks"))
-	side, stale := c("cpu.trace.side_exits"), c("cpu.trace.stale_exits")
-	rate := 0.0
-	if d := c("cpu.trace.dispatches"); d > 0 {
-		rate = float64(side+stale) / float64(d)
-	}
-	fmt.Fprintf(&b, "trace exits: side=%d stale=%d (side-exit rate %.3f)\n", side, stale, rate)
-
-	hist := reg.Hist("cpu.trace.len")
-	buckets := make([]string, 0, len(hist))
-	for k := range hist {
-		buckets = append(buckets, k)
-	}
-	sort.Strings(buckets) // "%02d" labels sort numerically
-	n, sum := uint64(0), uint64(0)
-	for _, k := range buckets {
-		var l int
-		fmt.Sscanf(k, "%d", &l)
-		n += hist[k]
-		sum += uint64(l) * hist[k]
-	}
-	avg := 0.0
-	if n > 0 {
-		avg = float64(sum) / float64(n)
-	}
-	fmt.Fprintf(&b, "trace len:   avg=%.2f hist=", avg)
-	for _, k := range buckets {
-		var l int
-		fmt.Sscanf(k, "%d", &l)
-		fmt.Fprintf(&b, " %d:%d", l, hist[k])
-	}
-	b.WriteString("\n")
-	return b.String()
 }

@@ -13,9 +13,6 @@ type Stats struct {
 	RestoreDirtyPages uint64 // dirty pages walked across all restores
 }
 
-// Reset zeroes the counters so a reused struct starts a fresh epoch.
-func (st *Stats) Reset() { *st = Stats{} }
-
 // Publish adds the memory counters to s.
 func (st *Stats) Publish(s *telemetry.Snap) {
 	s.Count("mem.stamp.bumps", st.StampBumps)

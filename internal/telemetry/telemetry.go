@@ -30,6 +30,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -354,6 +356,35 @@ func ValidateMetrics(data []byte) error {
 		return fmt.Errorf("telemetry: metrics file: missing counters section")
 	}
 	return nil
+}
+
+// WriteStats writes the deterministic counters and histograms as a
+// plain listing: every counter as "name value", then every histogram as
+// "name bucket:count ...", one line each, sorted by name and with the
+// names padded to one column. It is the -stats rendering; the wall
+// section is left out, so the listing is as deterministic as the
+// metrics file.
+func (r *Registry) WriteStats(w io.Writer) error {
+	f := r.File()
+	counters := slices.Sorted(maps.Keys(f.Counters))
+	hists := slices.Sorted(maps.Keys(f.Hists))
+	width := 0
+	for _, name := range append(counters, hists...) {
+		width = max(width, len(name))
+	}
+	var b strings.Builder
+	for _, name := range counters {
+		fmt.Fprintf(&b, "%-*s %d\n", width, name, f.Counters[name])
+	}
+	for _, name := range hists {
+		fmt.Fprintf(&b, "%-*s", width, name)
+		for _, bucket := range slices.Sorted(maps.Keys(f.Hists[name])) {
+			fmt.Fprintf(&b, " %s:%d", bucket, f.Hists[name][bucket])
+		}
+		b.WriteString("\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WriteFolded writes the merged guest profile in folded-stacks format —

@@ -166,6 +166,33 @@ func TestMetricsJSONValidates(t *testing.T) {
 	}
 }
 
+func TestWriteStats(t *testing.T) {
+	r := NewRegistry()
+	s := NewSnap()
+	s.Count("cpu.steps.retired", 12)
+	s.Count("buildcache.hits", 3)
+	s.BucketInt("cpu.block.len", 10, 1)
+	s.BucketInt("cpu.block.len", 2, 4)
+	s.Bucket("cpu.block.stop", "terminator", 5)
+	r.AddSnap(s)
+	r.Count("harness.warm_restores", 7)
+	r.SetWall("elapsed_ns", 1e9)
+	r.SetWallString("env.go_version", "go1")
+	var buf bytes.Buffer
+	if err := r.WriteStats(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `buildcache.hits       3
+cpu.steps.retired     12
+harness.warm_restores 7
+cpu.block.len         02:4 10:1
+cpu.block.stop        terminator:5
+`
+	if buf.String() != want {
+		t.Fatalf("listing:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
 func TestRingWrapAndDrop(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 6; i++ {
