@@ -232,8 +232,9 @@ func TestBuildCacheCountersReconcile(t *testing.T) {
 // hook and is served warm, the adaptive leak-assisted attacker
 // included, so the cold loads are exactly the reseeded cells' trials
 // (at 3 trials: t1 99 warm / 99 cold, cfi 96 / 0). Every attack trial,
-// warm or cold, makes exactly one counted recon lookup. Both hold at
-// any -jobs width.
+// warm or cold, makes exactly one counted lookup, of core.victim, and
+// the run misses once per distinct victim key. Both hold at any -jobs
+// width.
 func TestEveryStaticCellRunsWarm(t *testing.T) {
 	reg := harness.NewRegistry()
 	if err := core.RegisterScenarios(reg); err != nil {
@@ -248,6 +249,7 @@ func TestEveryStaticCellRunsWarm(t *testing.T) {
 				reseeded++
 			}
 		}
+		misses := map[int]uint64{}
 		for _, jobs := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/jobs=%d", group, jobs), func(t *testing.T) {
 				rep := harness.Run(scs, harness.Options{
@@ -260,10 +262,18 @@ func TestEveryStaticCellRunsWarm(t *testing.T) {
 						reseeded, len(scs))
 				}
 				c := rep.Telemetry.File().Counters
-				if got := c["buildcache.core.recon.hits"] + c["buildcache.core.recon.misses"]; got != uint64(trials*len(scs)) {
-					t.Errorf("%d recon lookups, want one per trial (%d)", got, trials*len(scs))
+				want := uint64(trials * len(scs))
+				if got := c["buildcache.core.victim.hits"] + c["buildcache.core.victim.misses"]; got != want {
+					t.Errorf("%d victim lookups, want one per trial (%d)", got, want)
 				}
+				if got := c["buildcache.hits"] + c["buildcache.misses"]; got != want {
+					t.Errorf("%d build-cache lookups, want one per trial (%d)", got, want)
+				}
+				misses[jobs] = c["buildcache.misses"]
 			})
+		}
+		if misses[1] != misses[2] {
+			t.Errorf("%s: %d build-cache misses at -jobs 1, %d at -jobs 2", group, misses[1], misses[2])
 		}
 	}
 }

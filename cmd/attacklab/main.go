@@ -13,9 +13,11 @@
 // flags -metrics/-guestprof/-evtrace/-stats — are shared with
 // cmd/secsim through internal/harness/cli; giving any telemetry flag
 // runs the default group as a sweep so there is something to collect.
-// -machine selects the T3 matrix, or t3 as that default group; next to
-// -group, -scenarios or -list it would change nothing, so it is refused
-// with exit 2.
+// -machine selects the T3 matrix, or t3 as that default group. A flag
+// the selected mode would ignore is refused with exit 2 and one line:
+// -machine next to -group, -scenarios or -list, every sweep flag next
+// to -list, every sweep flag but -group next to -scenarios, and -seed
+// or -progress on the fixed-seed matrices.
 //
 //	attacklab -trials 256 -jobs 8
 //	attacklab -group mc-aslr -trials 1000 -json
@@ -55,13 +57,27 @@ func main() {
 	)
 	sweep.Register(flag.CommandLine, 0)
 	flag.Parse()
-	if err := sweep.Check(); err != nil {
-		fmt.Fprintln(os.Stderr, "attacklab:", err)
-		os.Exit(2)
+	refuse := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "attacklab:", err)
+			os.Exit(2)
+		}
 	}
-	if *machine && (sweep.Group != "" || sweep.List || *list) {
-		fmt.Fprintln(os.Stderr, "attacklab: -machine has no effect with -group/-scenarios/-list (it selects the T3 matrix, or the t3 group in a sweep)")
-		os.Exit(2)
+	refuse(sweep.Check())
+	if sweep.Group != "" || sweep.List || *list {
+		refuse(sweep.Refuse("with -group/-scenarios/-list (it selects the T3 matrix, or the t3 group in a sweep)",
+			func(name string, _ bool) bool { return name == "machine" }))
+	}
+	// Matrix mode runs each cell once at its fixed seeds; any of these
+	// makes a sweep of registered cells instead.
+	matrix := sweep.Trials == 1 && !sweep.JSON && sweep.Group == "" && sweep.TelemetrySpec() == nil
+	switch {
+	case *list:
+		refuse(sweep.Refuse("with -list (it prints the attack catalog)",
+			func(_ string, shared bool) bool { return shared }))
+	case matrix:
+		refuse(sweep.Refuse("on the fixed-seed T1/T3 matrix (-trials above 1, -json, -group or a telemetry flag make a sweep)",
+			func(name string, _ bool) bool { return name == "seed" || name == "progress" }))
 	}
 
 	if *list {
@@ -87,7 +103,7 @@ func main() {
 	// Sweep mode: run registered scenarios through the trial engine.
 	// Telemetry flags imply it — collection is per-trial, so the legacy
 	// whole-matrix mode below has nothing to attach instruments to.
-	if sweep.Trials > 1 || sweep.JSON || sweep.Group != "" || sweep.TelemetrySpec() != nil {
+	if !matrix {
 		if sweep.Group == "" {
 			sweep.Group = "t1"
 			if *machine {

@@ -43,7 +43,9 @@
 //
 // A registered cell bakes in its attack and mitigations, so these modes
 // refuse -attack, -v and the mitigation flags with exit 2; -v, which
-// prints one trial's victim and output, is refused on sweeps too.
+// prints one trial's victim and output, is refused on sweeps too, and
+// -jobs and -progress on a single trial. -scenarios refuses every sweep
+// flag but -group.
 package main
 
 import (
@@ -72,10 +74,13 @@ func main() {
 	)
 	sweep.Register(flag.CommandLine, 42)
 	flag.Parse()
-	if err := sweep.Check(); err != nil {
-		fmt.Fprintln(os.Stderr, "secsim:", err)
-		os.Exit(2)
+	refuse := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "secsim:", err)
+			os.Exit(2)
+		}
 	}
+	refuse(sweep.Check())
 
 	if *scen != "" && (sweep.Group != "" || sweep.List) {
 		fmt.Fprintln(os.Stderr, "secsim: -scenario is mutually exclusive with -group/-scenarios (one cell, one group, or a listing — not several)")
@@ -85,14 +90,14 @@ func main() {
 		// Registered scenarios bake in their own attack, victim and
 		// mitigation config; refuse silently-ignored flags rather than
 		// sweep a configuration the user did not ask for.
-		ignored := map[string]bool{"attack": true, "v": true, "canary": true, "dep": true,
-			"aslr": true, "checked": true, "shadowstack": true, "cfi": true}
-		flag.Visit(func(f *flag.Flag) {
-			if ignored[f.Name] {
-				fmt.Fprintf(os.Stderr, "secsim: -%s has no effect with -scenario/-scenarios/-group (the cell's attack and mitigation config are baked in)\n", f.Name)
-				os.Exit(2)
-			}
-		})
+		refuse(sweep.Refuse("with -scenario/-scenarios/-group (the cell's attack and mitigation config are baked in)",
+			func(name string, _ bool) bool {
+				switch name {
+				case "attack", "v", "canary", "dep", "aslr", "checked", "shadowstack", "cfi":
+					return true
+				}
+				return false
+			}))
 		runScenarios(*scen, &sweep)
 		return
 	}
@@ -129,13 +134,13 @@ func main() {
 	// (report + merged metrics), so a single trial runs as a 1-trial
 	// sweep rather than growing a second record shape.
 	if sweep.Trials > 1 || sweep.JSON || sweep.RunLog != "" {
-		if *verbose {
-			fmt.Fprintln(os.Stderr, "secsim: -v has no effect on a sweep (-trials above 1, -json or -runlog); it prints one trial's victim and output")
-			os.Exit(2)
-		}
+		refuse(sweep.Refuse("on a sweep (-trials above 1, -json or -runlog); it prints one trial's victim and output",
+			func(name string, _ bool) bool { return name == "v" }))
 		runSweep(*spec, m, &sweep)
 		return
 	}
+	refuse(sweep.Refuse("on a single trial (-trials above 1, -json or -runlog make a sweep)",
+		func(name string, _ bool) bool { return name == "jobs" || name == "progress" }))
 
 	s, err := spec.Scenario(m)
 	if err != nil {

@@ -255,6 +255,7 @@ main:
 	// or not the command line asks for a sweep.
 	badProgress := `unknown -progress "bogus" (want auto, on, or off)`
 	missing := filepath.Join(work, "missing")
+	listMetrics := filepath.Join(work, "list_metrics.json")
 	for _, tc := range []struct {
 		name, tool string
 		args       []string
@@ -299,6 +300,27 @@ main:
 		{"attacklab -machine with -group exits 2", "attacklab",
 			[]string{"-machine", "-group", "cfi"},
 			"-machine has no effect with -group/-scenarios/-list (it selects the T3 matrix, or the t3 group in a sweep)"},
+		{"attacklab -list refuses -group", "attacklab",
+			[]string{"-list", "-group", "cfi"},
+			"-group has no effect with -list (it prints the attack catalog)"},
+		{"attacklab -list refuses -metrics and writes nothing", "attacklab",
+			[]string{"-list", "-metrics", listMetrics},
+			"-metrics has no effect with -list (it prints the attack catalog)"},
+		{"attacklab -scenarios refuses -json and -trials", "attacklab",
+			[]string{"-scenarios", "-json", "-trials", "3"},
+			"-json has no effect with -scenarios (it lists the catalog, narrowed only by -group)"},
+		{"secsim -scenarios refuses -stats", "secsim",
+			[]string{"-scenarios", "-stats"},
+			"-stats has no effect with -scenarios (it lists the catalog, narrowed only by -group)"},
+		{"attacklab matrix refuses -seed", "attacklab",
+			[]string{"-seed", "5"},
+			"-seed has no effect on the fixed-seed T1/T3 matrix (-trials above 1, -json, -group or a telemetry flag make a sweep)"},
+		{"attacklab matrix refuses -progress", "attacklab",
+			[]string{"-progress", "on"},
+			"-progress has no effect on the fixed-seed T1/T3 matrix (-trials above 1, -json, -group or a telemetry flag make a sweep)"},
+		{"secsim single trial refuses -jobs and -progress", "secsim",
+			[]string{"-attack", "stack-smash-inject", "-dep", "-jobs", "3", "-progress", "on"},
+			"-jobs has no effect on a single trial (-trials above 1, -json or -runlog make a sweep)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {
@@ -306,6 +328,11 @@ main:
 			}
 		})
 	}
+	t.Run("attacklab -list refusal wrote no metrics file", func(t *testing.T) {
+		if _, err := os.Stat(listMetrics); !os.IsNotExist(err) {
+			t.Fatalf("refused run wrote %s (stat err %v)", listMetrics, err)
+		}
+	})
 	t.Run("secsim profile flips the canary cell", func(t *testing.T) {
 		// The CVE-2023-4039 shape end to end: the same attack under the
 		// same mitigation is detected on the classic layout (exit 0) and

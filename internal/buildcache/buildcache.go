@@ -8,7 +8,9 @@
 // profile): this package caches them once per distinct key so a
 // 256-trial cell does one toolchain pass instead of 512, while
 // per-trial kernel.Load keeps re-randomizing everything the seeds
-// govern (ASLR layout, canary value).
+// govern (ASLR layout, canary value). Two caches use it: core.victim
+// (one entry per attack victim: linked program plus recon) and
+// fuzz.link.
 //
 // Determinism contract. The cache must never make a sweep's report or
 // telemetry depend on scheduling:
@@ -17,12 +19,13 @@
 //     one key build once and share the result (errors included), so
 //     Misses always equals the number of distinct keys built regardless
 //     of worker count.
-//   - Every Do lookup counts exactly one hit or miss, and only per-trial
-//     code paths call Do — warm and cold trials alike, so the lookups a
-//     run makes follow from its trial count and warm/cold mix alone.
-//     Worker-local warm-instance construction (see internal/harness)
-//     uses Peek/direct builds instead, so the counters are
-//     byte-identical at any -jobs width.
+//   - Do is the only access, every call counts exactly one hit or miss,
+//     and only per-trial code paths call it — warm and cold trials
+//     alike, one lookup per attack trial — so the lookups a run makes
+//     follow from its trial count alone and the counters are
+//     byte-identical at any -jobs width. Worker-local warm-instance
+//     construction (see internal/harness) builds from its first trial's
+//     lookup and never looks up anything itself.
 //   - Eviction is insertion-ordered past a generous per-cache capacity.
 //     Shipped catalogs stay far below capacity, so Evictions is zero in
 //     practice; the cap exists only to bound memory on pathological
@@ -60,14 +63,11 @@ func init() { enabled.Store(true) }
 // for concurrent flipping mid-sweep.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
-// Enabled reports whether the cache layer is active.
-func Enabled() bool { return enabled.Load() }
-
 // resettable is the registry's view of one cache.
 type resettable interface {
 	Reset()
+	Stats() Stats
 	name() string
-	stats() Stats
 }
 
 var (
@@ -134,32 +134,6 @@ func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Peek returns the completed value for key without touching the
-// counters, or ok=false when the key is absent, still building, or
-// built with an error. Warm-instance construction uses it so worker-
-// local setup never perturbs the deterministic hit/miss counts.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	var zero V
-	if !enabled.Load() {
-		return zero, false
-	}
-	c.mu.Lock()
-	e, ok := c.m[key]
-	c.mu.Unlock()
-	if !ok {
-		return zero, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return zero, false
-	}
-	if e.err != nil {
-		return zero, false
-	}
-	return e.val, true
-}
-
 // evictLocked drops the oldest entries past capacity, never the key
 // just inserted. Caller holds c.mu.
 func (c *Cache[K, V]) evictLocked(keep K) {
@@ -194,7 +168,6 @@ func (c *Cache[K, V]) Reset() {
 }
 
 func (c *Cache[K, V]) name() string { return c.cname }
-func (c *Cache[K, V]) stats() Stats { return c.Stats() }
 
 // ResetAll resets every registered cache — the start-of-run epoch
 // boundary the harness engine uses, also handy in tests.
@@ -227,15 +200,12 @@ func TotalStats() Stats {
 // across -jobs widths — run records can carry them verbatim and
 // cross-run diffs of the counters are meaningful.
 func PublishCounters(count func(name string, v uint64)) {
-	var t Stats
 	each(func(name string, s Stats) {
 		count("buildcache."+name+".hits", s.Hits)
 		count("buildcache."+name+".misses", s.Misses)
 		count("buildcache."+name+".evictions", s.Evictions)
-		t.Hits += s.Hits
-		t.Misses += s.Misses
-		t.Evictions += s.Evictions
 	})
+	t := TotalStats()
 	count("buildcache.hits", t.Hits)
 	count("buildcache.misses", t.Misses)
 	count("buildcache.evictions", t.Evictions)
@@ -249,6 +219,6 @@ func each(fn func(name string, s Stats)) {
 	regMu.Unlock()
 	sort.Slice(caches, func(i, j int) bool { return caches[i].name() < caches[j].name() })
 	for _, c := range caches {
-		fn(c.name(), c.stats())
+		fn(c.name(), c.Stats())
 	}
 }

@@ -65,32 +65,6 @@ func TestErrorsAreCached(t *testing.T) {
 	}
 }
 
-// TestPeekDoesNotCount: Peek shares completed values but never moves the
-// counters, and refuses errored entries — the warm-instance contract.
-func TestPeekDoesNotCount(t *testing.T) {
-	c := New[int, string]("test.peek", 64)
-	defer c.Reset()
-	if _, ok := c.Peek(1); ok {
-		t.Fatal("Peek on empty cache returned ok")
-	}
-	if _, err := c.Do(1, func() (string, error) { return "v", nil }); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := c.Peek(1); !ok || v != "v" {
-		t.Fatalf("Peek = (%q, %v), want (v, true)", v, ok)
-	}
-	if _, err := c.Do(2, func() (string, error) { return "", errors.New("x") }); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, ok := c.Peek(2); ok {
-		t.Fatal("Peek returned an errored entry")
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 0 hits / 2 misses (Peek must not count)", st)
-	}
-}
-
 // TestEvictionPastCapacity: the oldest entry is dropped once the cap is
 // exceeded and the eviction is counted.
 func TestEvictionPastCapacity(t *testing.T) {
@@ -161,7 +135,6 @@ func TestParallelHammer(t *testing.T) {
 						t.Errorf("Do(%d) = (%q, %v), want (%q, nil)", k, v, err, want)
 						return
 					}
-					c.Peek((w * i) % keys)
 				}
 			}(w)
 		}

@@ -53,15 +53,13 @@ func (r Recon) LocalAddr(f layout.Frame, i int) uint32 {
 	return r.MainEBP + uint32(f.Offs[i])
 }
 
-// reconProbe is the uncached reconnaissance pass: it assumes the caller
-// already cleared probe.ASLR (recon happens on the attacker's machine).
-func reconProbe(s Scenario, probe Mitigations) (Recon, error) {
-	m := probe
-	p, err := BuildVictim(s, probe)
-	if err != nil {
-		return Recon{}, err
-	}
+// reconOf reads the attacker's knowledge off their own copy of the
+// victim, loaded at the nominal layout; canary says whether the copy was
+// compiled with canaries, which moves main's locals. Recon.Canary is
+// left to the caller (victim.reconFor).
+func reconOf(p *kernel.Process, prof *layout.Profile, canary bool) (Recon, error) {
 	var r Recon
+	var err error
 	get := func(name string) uint32 {
 		a, ok := p.SymbolAddr(name)
 		if !ok {
@@ -79,18 +77,13 @@ func reconProbe(s Scenario, probe Mitigations) (Recon, error) {
 	}
 	r.TextBase = p.Layout.Text
 	r.DataScratch = p.Layout.Data + 0x800
-	r.Canary = p.Canary
 	// main's frame: _start pushes a return address (ESP-4), main's
 	// prologue pushes EBP (ESP-8 = EBP); where the locals sit below that
 	// is profile geometry, so derive it instead of hardcoding Figure 1's
 	// EBP-16 / EBP-20.
-	prof, err := m.LayoutProfile()
-	if err != nil {
-		return Recon{}, fmt.Errorf("core: recon: %w", err)
-	}
 	r.Profile = prof
 	r.MainEBP = p.Layout.StackTop - 8
-	r.BufAddr = r.LocalAddr(prof.Frame(m.Canary, 16), 0)
+	r.BufAddr = r.LocalAddr(prof.Frame(canary, 16), 0)
 	// The return address main's frame holds is the instruction after
 	// _start's `call main`. Derive it by disassembling at _start rather
 	// than hardcoding the CALL encoding's size, so recon survives any
@@ -161,15 +154,24 @@ type AttackSpec struct {
 }
 
 // Scenario instantiates the runnable scenario for a mitigation config:
-// one counted recon lookup, then a fresh attacker built from it.
+// one counted victim lookup, then a fresh attacker built from its recon.
 func (a AttackSpec) Scenario(m Mitigations) (Scenario, error) {
-	s := Scenario{Name: a.Name, Source: a.Victim, Goal: a.Goal}
-	r, err := ReconNominal(s, m)
+	s, _, err := a.trial(m)
+	return s, err
+}
+
+// trial is a trial's one counted lookup: the scenario, armed with a
+// fresh attacker, and the victim entry to load it from.
+func (a AttackSpec) trial(m Mitigations) (Scenario, *victim, error) {
+	v, err := lookupVictim(a.Victim, m)
 	if err != nil {
-		return Scenario{}, err
+		return Scenario{}, nil, err
 	}
-	s.Attacker = a.Build(r, m)
-	return s, nil
+	r, err := v.reconFor(m)
+	if err != nil {
+		return Scenario{}, nil, err
+	}
+	return Scenario{Name: a.Name, Source: a.Victim, Attacker: a.Build(r, m), Goal: a.Goal}, v, nil
 }
 
 // victimEcho is the paper's Figure 1 server with the bug of Section III-A

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"softsec/internal/asm"
 	"softsec/internal/buildcache"
 	"softsec/internal/kernel"
 	"softsec/internal/layout"
@@ -11,29 +10,19 @@ import (
 )
 
 // The sweep engine re-runs each cell's victim hundreds of times with
-// only the per-trial seeds varying, so the toolchain artifacts — the
-// compiled image, the linked Linked, the attacker's reconnaissance —
-// are memoized here under content keys. Per-trial kernel.Load stays
-// uncached: it is what re-randomizes ASLR layout and canary value.
-//
-// Two access modes keep the cache counters deterministic (see the
-// buildcache package comment):
-//
-//   - counted — every trial's path, warm or cold. Lookups go through
-//     Do, so the published hit/miss counters reflect exactly the trials
-//     that ran: each attack trial makes one recon lookup (a.Scenario),
-//     a cold trial also makes the compile and link lookups of its
-//     victim build, and a recon miss makes those of its probe build.
-//   - uncounted — worker-local warm-instance construction of the bare
-//     victim (warm.go). Builds reuse completed entries via stat-free
-//     Peek and otherwise build directly without populating the cache,
-//     so how many workers warmed a cell (a scheduling artifact) never
-//     shows in the counters.
+// only the per-trial seeds varying, so one core.victim entry per content
+// key holds what the seeds do not touch: the linked program and the
+// attacker's nominal recon of it. Per-trial kernel.Load stays uncached:
+// it is what re-randomizes ASLR layout and canary value. Every attack
+// trial, warm or cold, makes exactly one counted lookup
+// (AttackSpec.trial) and loads the program that lookup returned, so a
+// run's hits plus misses equal its attack trials and its misses its
+// distinct keys, at any -jobs width.
 
-// victimKey is the full content identity of a compile/link/recon pass:
-// the victim source plus every mitigation field that reaches codegen
-// (canary prologues, bounds checks, frame/segment geometry). Runtime-
-// only mitigations (DEP, ASLR, shadow stack, seeds) deliberately do not
+// victimKey is the full content identity of a victim entry: the victim
+// source plus every mitigation field that reaches codegen (canary
+// prologues, bounds checks, frame/segment geometry). Runtime-only
+// mitigations (DEP, ASLR, shadow stack, seeds) deliberately do not
 // appear — they act at load or execution time on the same artifact.
 type victimKey struct {
 	src     string
@@ -42,70 +31,57 @@ type victimKey struct {
 	profile string
 }
 
-var (
-	compileCache = buildcache.New[victimKey, *asm.Image]("core.compile", 256)
-	linkCache    = buildcache.New[victimKey, *kernel.Linked]("core.link", 256)
-	reconCache   = buildcache.New[victimKey, Recon]("core.recon", 256)
-)
-
-// via is one cached lookup in either access mode.
-func via[V any](c *buildcache.Cache[victimKey, V], key victimKey, counted bool, build func() (V, error)) (V, error) {
-	if counted {
-		return c.Do(key, build)
-	}
-	if v, ok := c.Peek(key); ok {
-		return v, nil
-	}
-	return build()
+// victim is one cache entry. Every trial of the key loads the same
+// Linked — kernel.Load never mutates it. reconErr stays apart from the
+// build's error, so BuildVictim never depends on recon.
+type victim struct {
+	linked   *kernel.Linked
+	prof     *layout.Profile
+	recon    Recon
+	reconErr error
 }
 
-// linkedFor returns the scenario's immutable linked program and layout
-// profile under the given mitigations. The Linked is shared across
-// trials — kernel.Load never mutates it — so caching it is safe.
-// Scenarios with ExtraModules carry runtime-constructed images with no
-// content identity; their link (but not the victim compile) bypasses
-// the cache.
-func linkedFor(s Scenario, m Mitigations, counted bool) (*kernel.Linked, *layout.Profile, error) {
-	prof, err := m.LayoutProfile()
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	key := victimKey{src: s.Source, canary: m.Canary, checked: m.Checked, profile: m.Profile}
-	img, err := via(compileCache, key, counted, func() (*asm.Image, error) {
-		img, err := minc.Compile("victim", s.Source, minc.Options{Canary: m.Canary, BoundsCheck: m.Checked, Layout: prof})
-		if err != nil {
-			return nil, fmt.Errorf("core: compile victim: %w", err)
-		}
-		return img, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	link := func(extra ...*asm.Image) (*kernel.Linked, error) {
-		ld, err := kernel.Link(append([]*asm.Image{kernel.Libc(), img}, extra...)...)
-		if err != nil {
-			return nil, fmt.Errorf("core: link: %w", err)
-		}
-		return ld, nil
-	}
-	if len(s.ExtraModules) > 0 {
-		ld, err := link(s.ExtraModules...)
-		return ld, prof, err
-	}
-	ld, err := via(linkCache, key, counted, func() (*kernel.Linked, error) { return link() })
-	if err != nil {
-		return nil, nil, err
-	}
-	return ld, prof, nil
+var victims = buildcache.New[victimKey, *victim]("core.victim", 256)
+
+// lookupVictim is the one counted lookup of src's entry under m.
+func lookupVictim(src string, m Mitigations) (*victim, error) {
+	k := victimKey{src: src, canary: m.Canary, checked: m.Checked, profile: m.Profile}
+	return victims.Do(k, func() (*victim, error) { return newVictim(k) })
 }
 
-// buildVictimVia is BuildVictim with an explicit cache access mode.
-func buildVictimVia(s Scenario, m Mitigations, counted bool) (*kernel.Process, error) {
-	ld, prof, err := linkedFor(s, m, counted)
+// newVictim compiles k's source, links it with libc, and reads the
+// attacker's recon off a load at the nominal layout. It must not call
+// BuildVictim: that would look up k, this build's own in-flight key,
+// and wait on it forever.
+func newVictim(k victimKey) (*victim, error) {
+	prof, err := layout.ByName(k.profile)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	cfg := kernel.Config{
+	img, err := minc.Compile("victim", k.src, minc.Options{Canary: k.canary, BoundsCheck: k.checked, Layout: prof})
+	if err != nil {
+		return nil, fmt.Errorf("core: compile victim: %w", err)
+	}
+	ld, err := kernel.Link(kernel.Libc(), img)
+	if err != nil {
+		return nil, fmt.Errorf("core: link: %w", err)
+	}
+	v := &victim{linked: ld, prof: prof}
+	// Recon happens on the attacker's machine, on a copy loaded under
+	// the key's fields only: everything it reads — symbols, nominal
+	// layout, gadgets — is independent of the runtime mitigations.
+	p, err := v.load(Scenario{}, Mitigations{Checked: k.checked})
+	if err == nil {
+		v.recon, err = reconOf(p, prof, k.canary)
+	}
+	v.reconErr = err
+	return v, nil
+}
+
+// load loads the entry's program under m's runtime mitigations, fed by
+// s's attacker.
+func (v *victim) load(s Scenario, m Mitigations) (*kernel.Process, error) {
+	return kernel.Load(v.linked, kernel.Config{
 		ShadowStack: m.ShadowStack,
 		DEP:         m.DEP,
 		ASLR:        m.ASLR,
@@ -114,37 +90,31 @@ func buildVictimVia(s Scenario, m Mitigations, counted bool) (*kernel.Process, e
 		CheckedLibc: m.Checked,
 		Input:       s.Attacker,
 		MaxSteps:    s.MaxSteps,
-		Profile:     prof,
+		Profile:     v.prof,
+	})
+}
+
+// reconFor is the entry's recon as an uncached probe under m would
+// report it: the one seed-dependent field, the canary, is fixed up on
+// the way out.
+func (v *victim) reconFor(m Mitigations) (Recon, error) {
+	if v.reconErr != nil {
+		return Recon{}, v.reconErr
 	}
-	return kernel.Load(ld, cfg)
+	r := v.recon
+	r.Canary = kernel.CanaryValue(m.CanarySeed)
+	return r, nil
 }
 
 // ReconNominal builds attacker knowledge by loading the attacker's own
 // copy of the victim at the nominal layout and reading symbols — exactly
-// what an attacker with the binary does offline. Because the nominal
-// probe is seed-independent, the result is content-cached: repeated
-// trials of one cell perform the reconnaissance pass — probe load,
-// symbol reads, gadget mining — once, and every other call is one
-// counted hit. The cached recon is computed under a probe normalized to
-// the key's fields only — everything else recon reports is independent
-// of the runtime mitigations (it reads symbols and nominal layout, never
-// executes) — and the one seed-dependent field, the canary, is fixed up
-// on the way out so callers see exactly what an uncached probe under m
-// would.
+// what an attacker with the binary does offline. The probe is
+// seed-independent, so it runs once per victim entry, and every other
+// call is one counted hit.
 func ReconNominal(s Scenario, m Mitigations) (Recon, error) {
-	if len(s.ExtraModules) > 0 {
-		probe := m
-		probe.ASLR = false
-		return reconProbe(s, probe)
-	}
-	key := victimKey{src: s.Source, canary: m.Canary, checked: m.Checked, profile: m.Profile}
-	r, err := reconCache.Do(key, func() (Recon, error) {
-		probe := Mitigations{Canary: m.Canary, Checked: m.Checked, Profile: m.Profile}
-		return reconProbe(s, probe)
-	})
+	v, err := lookupVictim(s.Source, m)
 	if err != nil {
 		return Recon{}, err
 	}
-	r.Canary = kernel.CanaryValue(m.CanarySeed)
-	return r, nil
+	return v.reconFor(m)
 }

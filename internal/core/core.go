@@ -11,10 +11,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
-	"softsec/internal/asm"
 	"softsec/internal/cpu"
 	"softsec/internal/kernel"
 	"softsec/internal/layout"
@@ -124,9 +122,6 @@ type Scenario struct {
 	Name string
 	// Source is the victim program (MinC).
 	Source string
-	// ExtraModules are linked after the victim (machine-code attacker
-	// modules, protected-module stubs, ...).
-	ExtraModules []*asm.Image
 	// Attacker feeds the victim's reads (the I/O attacker). Nil means no
 	// input.
 	Attacker kernel.InputSource
@@ -149,10 +144,15 @@ type Result struct {
 // mitigations, without running it. Attack builders use it to perform
 // reconnaissance against their own copy of the binary (attackers know the
 // software they attack; what ASLR hides is the *loaded* layout). The
-// compile and link artifacts are content-cached (see cache.go); only the
-// load — where the per-trial randomization happens — runs every call.
+// compile and link are one counted lookup of the content-keyed victim
+// cache (see cache.go); only the load — where the per-trial
+// randomization happens — runs every call.
 func BuildVictim(s Scenario, m Mitigations) (*kernel.Process, error) {
-	return buildVictimVia(s, m, true)
+	v, err := lookupVictim(s.Source, m)
+	if err != nil {
+		return nil, err
+	}
+	return v.load(s, m)
 }
 
 // Run executes the scenario under the mitigations and classifies it.
@@ -167,27 +167,46 @@ func Run(s Scenario, m Mitigations) (Result, error) {
 // returned alongside the result. A nil spec behaves exactly like Run
 // and returns a nil snapshot.
 func RunCollected(s Scenario, m Mitigations, spec *telemetry.Spec) (Result, *telemetry.Snap, error) {
-	p, err := BuildVictim(s, m)
+	v, err := lookupVictim(s.Source, m)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if err := installCFI(p, m); err != nil {
+	p, err := v.deploy(s, m)
+	if err != nil {
 		return Result{}, nil, err
 	}
+	r, snap := runLoaded(p, s.Goal, spec)
+	return r, snap, nil
+}
+
+// deploy loads the entry as a trial runs it: under m, fed by s's
+// attacker, with m's CFI policy installed.
+func (v *victim) deploy(s Scenario, m Mitigations) (*kernel.Process, error) {
+	p, err := v.load(s, m)
+	if err != nil {
+		return nil, err
+	}
+	return p, installCFI(p, m)
+}
+
+// runLoaded is the tail of every run, cold or warm: attach fresh
+// instruments when spec asks, run the loaded victim, classify, and snap
+// the instruments.
+func runLoaded(p *kernel.Process, goal Oracle, spec *telemetry.Spec) (Result, *telemetry.Snap) {
 	ins := kernel.AttachInstruments(p, spec)
 	st := p.Run()
 	r := Result{
-		State:  st,
-		Exit:   p.CPU.ExitCode(),
-		Output: p.Output.Bytes(),
-		Proc:   p,
+		Outcome: Classify(p, st, goal),
+		State:   st,
+		Exit:    p.CPU.ExitCode(),
+		Output:  p.Output.Bytes(),
+		Proc:    p,
 	}
-	r.Outcome = Classify(p, st, s.Goal)
 	var snap *telemetry.Snap
 	if ins != nil {
 		snap = ins.Snap(p, ins.SinceAttach(p))
 	}
-	return r, snap, nil
+	return r, snap
 }
 
 // Classify maps a final process state to an Outcome. The goal predicate
@@ -201,13 +220,7 @@ func Classify(p *kernel.Process, st cpu.State, goal Oracle) Outcome {
 	case cpu.Exited, cpu.Halted:
 		return Normal
 	case cpu.Faulted:
-		f := p.CPU.Fault()
-		if f.Kind == cpu.FaultFailFast || f.Kind == cpu.FaultPolicy ||
-			f.Kind == cpu.FaultCFI {
-			return Detected
-		}
-		var bv *kernel.BoundsViolation
-		if errors.As(f.Err, &bv) {
+		if kernel.CountermeasureFault(p.CPU.Fault()) {
 			return Detected
 		}
 		return Crashed

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"softsec/internal/fuzz"
 	"softsec/internal/harness"
+	"softsec/internal/kernel"
 )
 
 func TestRegisterScenariosCatalog(t *testing.T) {
@@ -134,6 +136,45 @@ func TestScenarioRerunsAreIndependent(t *testing.T) {
 		}
 		if first.Outcome != Compromised || second.Outcome != first.Outcome {
 			t.Errorf("%s/%v: rerun diverged: first %v, second %v", tc.attack, tc.m, first.Outcome, second.Outcome)
+		}
+	}
+}
+
+// TestUnbuildableVictimWarmOrCold: an attack cell whose victim does not
+// compile reports the same error on every trial whether its warm hook
+// serves the trials or the cold path does. The warm instance is built
+// from its first trial's lookup, so that lookup's error must reach the
+// trial instead of leaving a half-built instance behind.
+func TestUnbuildableVictimWarmOrCold(t *testing.T) {
+	a := AttackSpec{
+		Name:   "unbuildable",
+		Victim: "void main() { int x = ; }",
+		Goal:   pwned,
+		Build:  func(Recon, Mitigations) kernel.InputSource { return nil },
+	}
+	warm := attackCell("t1/unbuildable/dep", "t1", nil, a, Mitigations{DEP: true}, true)
+	if warm.Warm == nil {
+		t.Fatal("static cell carries no warm hook")
+	}
+	cold := warm
+	cold.Warm = nil
+	const trials = 4
+	for _, jobs := range []int{1, 2} {
+		opt := harness.Options{Trials: trials, Jobs: jobs, BaseSeed: 3}
+		w, c := harness.Run([]harness.Scenario{warm}, opt), harness.Run([]harness.Scenario{cold}, opt)
+		for ti := 0; ti < trials; ti++ {
+			we, ce := w.Results[0][ti].Err, c.Results[0][ti].Err
+			if we == nil || ce == nil || we.Error() != ce.Error() {
+				t.Fatalf("jobs=%d trial %d: warm error %v, cold error %v, want the same error", jobs, ti, we, ce)
+			}
+			if !strings.Contains(we.Error(), "compile victim") {
+				t.Fatalf("jobs=%d trial %d: error %q does not name the compile", jobs, ti, we)
+			}
+		}
+		wj, _ := w.JSON()
+		cj, _ := c.JSON()
+		if !bytes.Equal(wj, cj) {
+			t.Fatalf("jobs=%d: warm report\n%s\ncold report\n%s", jobs, wj, cj)
 		}
 	}
 }

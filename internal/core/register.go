@@ -161,17 +161,23 @@ func canarySweep(a AttackSpec, profile string) harness.Scenario {
 		a, Mitigations{Canary: true, CanarySeed: 7, DEP: true, Profile: profile}, true)
 }
 
-// runTrialCell builds and runs one scenario instance and converts the
-// outcome into harness terms, collecting telemetry when spec asks.
+// runTrialCell builds and runs one scenario instance from the trial's
+// one victim lookup and converts the outcome into harness terms,
+// collecting telemetry when spec asks.
 func runTrialCell(a AttackSpec, m Mitigations, spec *telemetry.Spec) harness.TrialResult {
-	s, err := a.Scenario(m)
+	s, v, err := a.trial(m)
 	if err != nil {
 		return harness.TrialResult{Err: err}
 	}
-	res, snap, err := RunCollected(s, m, spec)
+	p, err := v.deploy(s, m)
 	if err != nil {
 		return harness.TrialResult{Err: err}
 	}
+	return trialResult(runLoaded(p, s.Goal, spec))
+}
+
+// trialResult is a classified run in harness terms.
+func trialResult(res Result, snap *telemetry.Snap) harness.TrialResult {
 	return harness.TrialResult{
 		Outcome:   res.Outcome.String(),
 		Code:      int(res.Outcome),

@@ -11,8 +11,11 @@ import (
 // the mitigation config carries no per-trial reseeding, so every cold
 // trial would load the exact same binary at the exact same layout and
 // differ only in the attacker and run state. A warm cell loads the bare
-// victim once per worker, snapshots the pristine process, and serves
-// each trial by Restore plus a freshly built attacker.
+// victim once per worker, on its first trial, from the linked program
+// that trial's victim lookup returned; it snapshots the pristine
+// process and serves each trial by Restore plus a freshly built
+// attacker. Warm construction looks nothing up itself, so how many
+// workers warmed a cell never shows in the build-cache counters.
 //
 // Result equivalence with the cold path, piece by piece:
 //
@@ -20,11 +23,10 @@ import (
 //     to such cells), so the cold path's per-trial Load draws the same
 //     layout and canary every time; Restore reproduces them from the
 //     snapshot.
-//   - input: every trial builds its scenario with the same counted
-//     a.Scenario(m) call the cold path makes — one recon-cache hit plus
-//     the attacker's payload — and arms that fresh attacker with
-//     SetInput after the restore, as the cold Load arms its own clone.
-//     Any attacker works, adaptive state machines included.
+//   - input: every trial makes the cold path's one counted lookup
+//     (AttackSpec.trial), builds its attacker from the recon, and arms
+//     it with SetInput after the restore, as the cold Load arms its own
+//     clone. Any attacker works, adaptive state machines included.
 //   - CFI policy: installed once before the snapshot; the policy is
 //     configuration, not run state, and Restore leaves it in place —
 //     same as the cold path installing it after every load.
@@ -34,8 +36,11 @@ import (
 //     instrumented): telemetry trials therefore drop them via
 //     ResetCaches before attaching, making every instrumented trial
 //     start exactly as cold as a fresh load.
+//   - errors: a lookup, load or CFI error fails the trial with the
+//     cold path's error and leaves the instance unloaded.
 
-// warmCell is one worker's reusable loaded process for one cell.
+// warmCell is one worker's reusable loaded process for one cell; p and
+// snap stay nil until its first trial loads them.
 type warmCell struct {
 	a    AttackSpec
 	m    Mitigations
@@ -48,33 +53,25 @@ type warmCell struct {
 // part — never attach one to a cell that reseeds m per trial.
 func warmCellSpec(a AttackSpec, m Mitigations) *harness.WarmSpec {
 	return &harness.WarmSpec{New: func() (harness.WarmInstance, error) {
-		return newWarmCell(a, m)
+		return &warmCell{a: a, m: m}, nil
 	}}
 }
 
-// newWarmCell loads the cell's bare victim once, with no attacker and
-// no reconnaissance, and snapshots it pristine. The build goes through
-// the uncounted cache mode (cache.go): how many workers warm a cell is
-// a scheduling artifact that must never move the deterministic
-// build-cache counters.
-func newWarmCell(a AttackSpec, m Mitigations) (*warmCell, error) {
-	p, err := buildVictimVia(Scenario{Name: a.Name, Source: a.Victim}, m, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := installCFI(p, m); err != nil {
-		return nil, err
-	}
-	return &warmCell{a: a, m: m, p: p, snap: p.Snapshot()}, nil
-}
-
-// RunTrial implements harness.WarmInstance: build the trial's attacker,
-// restore the pristine snapshot, arm, run, classify — the warm mirror
-// of runTrialCell.
+// RunTrial implements harness.WarmInstance: look up the victim and
+// build the trial's attacker, load and snapshot the bare victim on the
+// first trial, then restore, arm and run — the warm mirror of
+// runTrialCell.
 func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
-	s, err := w.a.Scenario(w.m)
+	s, v, err := w.a.trial(w.m)
 	if err != nil {
 		return harness.TrialResult{Err: err}
+	}
+	if w.p == nil {
+		p, err := v.deploy(Scenario{}, w.m)
+		if err != nil {
+			return harness.TrialResult{Err: err}
+		}
+		w.p, w.snap = p, p.Snapshot()
 	}
 	p := w.p
 	// Drop the previous trial's event/profiler hooks before restoring:
@@ -89,16 +86,5 @@ func (w *warmCell) RunTrial(t harness.Trial) harness.TrialResult {
 	if t.Telemetry != nil {
 		p.CPU.ResetCaches()
 	}
-	ins := kernel.AttachInstruments(p, t.Telemetry)
-	st := p.Run()
-	out := Classify(p, st, s.Goal)
-	tr := harness.TrialResult{
-		Outcome: out.String(),
-		Code:    int(out),
-		Success: out == Compromised,
-	}
-	if ins != nil {
-		tr.Telemetry = ins.Snap(p, ins.SinceAttach(p))
-	}
-	return tr
+	return trialResult(runLoaded(p, s.Goal, t.Telemetry))
 }

@@ -29,7 +29,6 @@ package fuzz
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -466,12 +465,7 @@ func (c *Campaign) classify(st cpu.State) ExecOutcome {
 	case cpu.StepLimit:
 		return Hung
 	case cpu.Faulted:
-		f := c.proc.CPU.Fault()
-		if f.Kind == cpu.FaultFailFast || f.Kind == cpu.FaultPolicy || f.Kind == cpu.FaultCFI {
-			return Detected
-		}
-		var bv *kernel.BoundsViolation
-		if errors.As(f.Err, &bv) {
+		if kernel.CountermeasureFault(c.proc.CPU.Fault()) {
 			return Detected
 		}
 		return Crashed

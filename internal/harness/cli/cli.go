@@ -66,9 +66,10 @@ type Sweep struct {
 	// telemetry collection is implied so there are counters to record.
 	RunLog string
 
-	// tool is the binary name stamped into run records, captured from
-	// the flag set at Register time.
+	// tool is the binary name stamped into run records, and fs the flag
+	// set Refuse reads, both captured at Register time.
 	tool string
+	fs   *flag.FlagSet
 }
 
 // Register installs the shared sweep flags on fs with uniform names and
@@ -90,6 +91,7 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 	fs.StringVar(&s.Progress, "progress", "auto", "live sweep progress on stderr: auto, on, or off (auto = only when stderr is a terminal)")
 	fs.StringVar(&s.RunLog, "runlog", "", "append this run's record (report, metrics, env, throughput) to this run-ledger directory (compare runs with rundiff)")
 	s.tool = filepath.Base(fs.Name())
+	s.fs = fs
 }
 
 // Check validates the parsed flag values and pins the execution tier, so
@@ -97,8 +99,9 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 // -trials below 1, an unknown -progress mode, layout profile or engine,
 // a -metrics, -guestprof or -evtrace file whose directory does not
 // exist, or a -runlog ledger the run's record could not be appended to.
-// Both sweep binaries call it right after flag parsing and exit 2 on
-// error.
+// Then, the values being good, it refuses every shared flag the
+// -scenarios listing would ignore: all but -group. Both sweep binaries
+// call it right after flag parsing and exit 2 on error.
 func (s *Sweep) Check() error {
 	if s.Trials < 1 {
 		return fmt.Errorf("-trials %d: want at least 1", s.Trials)
@@ -124,7 +127,33 @@ func (s *Sweep) Check() error {
 			return err
 		}
 	}
-	return s.applyEngine()
+	if err := s.applyEngine(); err != nil || !s.List {
+		return err
+	}
+	return s.Refuse("with -scenarios (it lists the catalog, narrowed only by -group)", func(name string, shared bool) bool {
+		return shared && name != "scenarios" && name != "group"
+	})
+}
+
+// Refuse returns the one-line error "-NAME has no effect WHY" for the
+// first flag, in name order, that was set on the command line and that
+// ignored reports true for; nil when there is none. ignored also learns
+// whether the flag is one of the shared sweep flags, so a mode can
+// refuse them all. The sweep binaries call it after Check, so bad
+// values keep their own messages, and exit 2 on the error.
+func (s *Sweep) Refuse(why string, ignored func(name string, shared bool) bool) error {
+	if s.fs == nil {
+		return nil // not registered: no command line set anything
+	}
+	var own Sweep
+	own.Register(flag.NewFlagSet("", flag.ContinueOnError), 0)
+	var err error
+	s.fs.Visit(func(f *flag.Flag) {
+		if err == nil && ignored(f.Name, own.fs.Lookup(f.Name) != nil) {
+			err = fmt.Errorf("-%s has no effect %s", f.Name, why)
+		}
+	})
+	return err
 }
 
 // applyEngine pins the package-wide execution-tier switches to the

@@ -17,12 +17,12 @@ package harness
 
 // WarmSpec opts a scenario into per-worker warm process reuse.
 type WarmSpec struct {
-	// New constructs one warm instance: build and load the cell's
-	// victim, snapshot it pristine, return a runner that restores the
-	// snapshot per trial. Called lazily, at most once per (worker,
-	// cell). An error (a victim that does not build, say) permanently
-	// disables warm reuse for that worker — its trials fall back to the
-	// scenario's cold Run path, which reports the error per trial.
+	// New constructs one warm instance: a runner that restores a
+	// pristine snapshot of the cell's loaded victim per trial. It may
+	// load and snapshot the victim itself, or leave that to the
+	// instance's first trial. Called lazily, at most once per (worker,
+	// cell). An error permanently disables warm reuse for that worker
+	// — its trials fall back to the scenario's cold Run path.
 	New func() (WarmInstance, error)
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"softsec/internal/cpu"
@@ -40,6 +41,22 @@ type BoundsViolation struct {
 
 func (b *BoundsViolation) Error() string {
 	return fmt.Sprintf("bounds violation: access [0x%08x,+0x%x) outside every live allocation", b.Addr, b.Size)
+}
+
+// CountermeasureFault reports whether a fault is a deployed
+// countermeasure catching the attack rather than a crash: canary
+// fail-fast, a policy fault, a CFI fault, or a run-time bounds check.
+// It is the one detection rule of core.Classify and the fuzzer.
+func CountermeasureFault(f *cpu.Fault) bool {
+	if f == nil {
+		return false
+	}
+	switch f.Kind {
+	case cpu.FaultFailFast, cpu.FaultPolicy, cpu.FaultCFI:
+		return true
+	}
+	var bv *BoundsViolation
+	return errors.As(f.Err, &bv)
 }
 
 type trapHandler Process

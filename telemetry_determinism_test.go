@@ -198,8 +198,7 @@ void main() {
 // that stops BlockStats/TraceStats bleeding between harness trials.
 // The run-level counters are exempt and pinned exactly instead: the
 // trial count, and the build-cache lookups, where each (warm) trial
-// makes one counted recon lookup and the run misses only on recon and
-// the compile and link of its probe.
+// makes one counted victim lookup and the run misses only on the first.
 func TestNoBleedAcrossTrials(t *testing.T) {
 	var spec core.AttackSpec
 	for _, a := range core.Attacks() {
@@ -243,11 +242,11 @@ func TestNoBleedAcrossTrials(t *testing.T) {
 		t.Errorf("per-trial counter sets differ: %d vs %d names", perTrial(one), perTrial(two))
 	}
 	for trials, c := range map[uint64]map[string]uint64{1: one, 2: two} {
-		if got := c["buildcache.core.recon.hits"] + c["buildcache.core.recon.misses"]; got != trials {
-			t.Errorf("%d-trial run: %d recon lookups, want one per trial", trials, got)
+		if got := c["buildcache.core.victim.hits"] + c["buildcache.core.victim.misses"]; got != trials {
+			t.Errorf("%d-trial run: %d victim lookups, want one per trial", trials, got)
 		}
-		if got := c["buildcache.misses"]; got != 3 {
-			t.Errorf("%d-trial run: %d build-cache misses, want 3 (recon, compile, link)", trials, got)
+		if got := c["buildcache.misses"]; got != 1 {
+			t.Errorf("%d-trial run: %d build-cache misses, want 1 (the victim)", trials, got)
 		}
 	}
 	if one["cpu.steps.retired"] == 0 {
