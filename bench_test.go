@@ -468,8 +468,9 @@ func BenchmarkFullReload(b *testing.B) {
 // TestFullReloadStaysCacheFree is the benchmark guard as a plain test, so
 // `go test` (not only -bench runs) pins the lazy allocation: a one-shot
 // process allocates neither cache nor the stack pages it never writes,
-// while a looping process still earns both caches on its first
-// re-executed address.
+// while a looping process still earns its engine's cache on its first
+// re-executed address: the block table on the default tier, the decode
+// table on the stepping engine.
 func TestFullReloadStaysCacheFree(t *testing.T) {
 	img, err := minc.Compile("victim", quickstartVictim, minc.Options{})
 	if err != nil {
@@ -510,7 +511,8 @@ func TestFullReloadStaysCacheFree(t *testing.T) {
 	}
 
 	// Control: the looping compute kernel re-executes addresses and must
-	// still invest in both caches.
+	// still invest in the cache of the engine that runs it, and only that
+	// one.
 	img, err = minc.Compile("kern", kernelSource, minc.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -519,15 +521,21 @@ func TestFullReloadStaysCacheFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err = kernel.Load(ld, kernel.Config{DEP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Run(); st != cpu.Exited {
-		t.Fatalf("state %v fault %v", st, p.CPU.Fault())
-	}
-	if dc, bc := p.CPU.CacheFootprint(); !dc || !bc {
-		t.Fatalf("hot loop did not allocate caches (decode=%v block=%v)", dc, bc)
+	saved := cpu.UseBlockEngine
+	defer func() { cpu.UseBlockEngine = saved }()
+	for _, blocks := range []bool{true, false} {
+		cpu.UseBlockEngine = blocks
+		p, err = kernel.Load(ld, kernel.Config{DEP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := p.Run(); st != cpu.Exited {
+			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+		}
+		if dc, bc := p.CPU.CacheFootprint(); dc == blocks || bc != blocks {
+			t.Fatalf("hot loop with UseBlockEngine=%v allocated decode=%v block=%v, want only its engine's cache",
+				blocks, dc, bc)
+		}
 	}
 }
 
@@ -581,7 +589,7 @@ void main() {
 
 // BenchmarkFuzzExecsPerSecHot measures campaign throughput on warm-cache
 // non-crashing cells: mutate, reset, execute, classify, admit, with
-// decode/block/trace caches staying warm across every reset. The
+// block and trace caches staying warm across every reset. The
 // no-policy execs/sec numbers here are the headline fuzzing figures in
 // EXPERIMENTS.md.
 func BenchmarkFuzzExecsPerSecHot(b *testing.B) {

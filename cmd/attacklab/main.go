@@ -16,8 +16,10 @@
 // -machine selects the T3 matrix, or t3 as that default group. A flag
 // the selected mode would ignore is refused with exit 2 and one line:
 // -machine next to -group, -scenarios or -list, every sweep flag next
-// to -list, every sweep flag but -group next to -scenarios, and -seed
-// or -progress on the fixed-seed matrices.
+// to -list, every sweep flag but -group next to -scenarios, -seed or
+// -progress on the fixed-seed matrices, and a -profile other than
+// classic next to -machine or a group whose cells fix their own layout
+// profile (t3, cfi, t1p, fuzzp).
 //
 //	attacklab -trials 256 -jobs 8
 //	attacklab -group mc-aslr -trials 1000 -json
@@ -78,6 +80,12 @@ func main() {
 	case matrix:
 		refuse(sweep.Refuse("on the fixed-seed T1/T3 matrix (-trials above 1, -json, -group or a telemetry flag make a sweep)",
 			func(name string, _ bool) bool { return name == "seed" || name == "progress" }))
+	}
+	switch {
+	case *machine:
+		refuse(sweep.RefuseProfile("-machine"))
+	case core.ProfileFixed(sweep.Group):
+		refuse(sweep.RefuseProfile("-group " + sweep.Group))
 	}
 
 	if *list {

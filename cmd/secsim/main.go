@@ -45,7 +45,8 @@
 // refuse -attack, -v and the mitigation flags with exit 2; -v, which
 // prints one trial's victim and output, is refused on sweeps too, and
 // -jobs and -progress on a single trial. -scenarios refuses every sweep
-// flag but -group.
+// flag but -group, and a group or cell whose cells fix their own layout
+// profile (t3, cfi, t1p, fuzzp) refuses a -profile other than classic.
 package main
 
 import (
@@ -98,6 +99,9 @@ func main() {
 				}
 				return false
 			}))
+		if core.ProfileFixed(sweep.Group) {
+			refuse(sweep.RefuseProfile("-group " + sweep.Group))
+		}
 		runScenarios(*scen, &sweep)
 		return
 	}
@@ -205,6 +209,12 @@ func runScenarios(name string, sweep *cli.Sweep) {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "secsim: unknown scenario %q (try -scenarios)\n", name)
 			os.Exit(2)
+		}
+		if core.ProfileFixed(sc.Group) {
+			if err := sweep.RefuseProfile("-scenario " + name); err != nil {
+				fmt.Fprintln(os.Stderr, "secsim:", err)
+				os.Exit(2)
+			}
 		}
 		scs = []harness.Scenario{sc}
 	} else {

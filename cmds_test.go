@@ -321,6 +321,19 @@ main:
 		{"secsim single trial refuses -jobs and -progress", "secsim",
 			[]string{"-attack", "stack-smash-inject", "-dep", "-jobs", "3", "-progress", "on"},
 			"-jobs has no effect on a single trial (-trials above 1, -json or -runlog make a sweep)"},
+		// Cells that fix their own layout profile refuse another one.
+		{"attacklab -machine refuses -profile", "attacklab",
+			[]string{"-machine", "-profile", "inverted-locals"},
+			"-profile has no effect with -machine (its cells fix their own layout profile)"},
+		{"secsim -group cfi refuses -profile", "secsim",
+			[]string{"-group", "cfi", "-trials", "1", "-profile", "inverted-locals"},
+			"-profile has no effect with -group cfi (its cells fix their own layout profile)"},
+		{"attacklab -group t1p refuses -profile", "attacklab",
+			[]string{"-group", "t1p", "-trials", "1", "-profile", "inverted-locals", "-json"},
+			"-profile has no effect with -group t1p (its cells fix their own layout profile)"},
+		{"secsim -scenario of a cfi cell refuses -profile", "secsim",
+			[]string{"-scenario", "cfi/rop-chain/fine", "-profile", "canary-below-vla"},
+			"-profile has no effect with -scenario cfi/rop-chain/fine (its cells fix their own layout profile)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {

@@ -144,7 +144,8 @@ func TestScenarioRerunsAreIndependent(t *testing.T) {
 // compile reports the same error on every trial whether its warm hook
 // serves the trials or the cold path does. The warm instance is built
 // from its first trial's lookup, so that lookup's error must reach the
-// trial instead of leaving a half-built instance behind.
+// trial instead of leaving a half-built instance behind, and a trial
+// that restored nothing counts as a cold load.
 func TestUnbuildableVictimWarmOrCold(t *testing.T) {
 	a := AttackSpec{
 		Name:   "unbuildable",
@@ -175,6 +176,9 @@ func TestUnbuildableVictimWarmOrCold(t *testing.T) {
 		cj, _ := c.JSON()
 		if !bytes.Equal(wj, cj) {
 			t.Fatalf("jobs=%d: warm report\n%s\ncold report\n%s", jobs, wj, cj)
+		}
+		if w.WarmRestores != 0 || w.ColdLoads != trials {
+			t.Fatalf("jobs=%d: %d warm restores and %d cold loads, want 0 and %d", jobs, w.WarmRestores, w.ColdLoads, trials)
 		}
 	}
 }

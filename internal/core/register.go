@@ -51,6 +51,7 @@ func RegisterScenarios(r *harness.Registry) error {
 // orthogonal to frame geometry, and their scenarios assert against
 // classic-layout goldens. The profile-*spanning* groups t1p and fuzzp are
 // always registered in full, regardless of the baked profile.
+// ProfileFixed names these four groups.
 func RegisterScenariosFor(r *harness.Registry, profile string) error {
 	if _, err := layout.ByName(profile); err != nil {
 		return err
@@ -106,6 +107,17 @@ func RegisterScenariosFor(r *harness.Registry, profile string) error {
 		}
 	}
 	return nil
+}
+
+// ProfileFixed reports whether RegisterScenariosFor registers group's
+// cells the same under every profile, so that a sweep of them ignores
+// the profile it was given.
+func ProfileFixed(group string) bool {
+	switch group {
+	case "t3", "cfi", "t1p", "fuzzp":
+		return true
+	}
+	return false
 }
 
 // ProfileGridConfigs is the reduced mitigation ladder of the t1p group:

@@ -18,7 +18,9 @@ package cpu
 //   - the policy block summary: a Policy implementing BlockCheckCompiler
 //     proves once per span that every sequential CheckExec inside the
 //     block is allowed (and optionally that no data access can fail, in
-//     which case the per-access checkers are skipped too);
+//     which case the per-access checkers are skipped too). A span it does
+//     not prove still runs from the cache, checked: each fall-through
+//     retires as Step retires it, through the policy's exec check;
 //   - the step-budget computation: a block never retires past Run's
 //     maxSteps — it partially retires and stops exactly at the budget,
 //     bit-identical to the stepping engine.
@@ -28,7 +30,9 @@ package cpu
 // the block is built when the pc recurs. Fuzzing campaigns constantly
 // send wild control transfers into freshly mutated one-shot byte soup;
 // decoding 32 instructions of junk ahead of a fault that arrives in two
-// would cost more than the stepping engine ever did.
+// would cost more than the stepping engine ever did. Those steps decode
+// straight from memory: the decode cache is the stepping engine's, and
+// a pc the block tier revisits runs as a block.
 //
 // Coverage needs no special handling: branch edges are recorded by
 // exec1's branch() at control transfers, which are exactly the block
@@ -42,9 +46,9 @@ package cpu
 // engine would.
 //
 // Fallbacks (automatic, re-decided at every Run loop iteration): a
-// profiler, an armed breakpoint, a Policy without a block compiler,
-// or a span the compiler refuses to summarize — all drive execution
-// through Step, the bit-identical semantic reference.
+// profiler or an armed breakpoint drives execution through Step, the
+// bit-identical semantic reference. A Policy without a block compiler,
+// or a span the compiler refuses to summarize, runs checked blocks.
 
 import (
 	"softsec/internal/isa"
@@ -69,8 +73,9 @@ type BlockCheckCompiler interface {
 	// issue for sequential retirements inside the span — consecutive
 	// instruction addresses from start up to and including the final
 	// fall-through to end — is allowed. When false, the engine executes
-	// the span by single-stepping (which reproduces any denial exactly);
-	// conservative answers are always sound.
+	// the span under the stepping engine's per-instruction checks (which
+	// reproduce any denial exactly); conservative answers are always
+	// sound.
 	//
 	// dataFree additionally reports that no CheckRead/CheckWrite issued
 	// by instructions in the span can fail, regardless of the (dynamic)
@@ -152,7 +157,8 @@ type BlockStats struct {
 	Builds     uint64 // blocks built or rebuilt
 	Hits       uint64 // block cache hits
 	Dispatches uint64 // blocks entered (hit or fresh build)
-	StepFalls  uint64 // Run iterations falling back to the stepping engine
+	Checked    uint64 // of those, spans the policy did not prove (run checked)
+	StepFalls  uint64 // Run iterations stepping a pc with no block to run
 	Stales     uint64 // built blocks demoted at dispatch (invalidated)
 	SelfStales uint64 // blocks invalidated by their own stores (SMC)
 	LenHist    [MaxBlockLen + 1]uint64
@@ -174,7 +180,7 @@ type bcEntry struct {
 	// miss counts consecutive conflict probes by other pcs while the slot
 	// holds a valid built block; see the eviction gate in blockFor.
 	miss     uint8
-	ok       bool // policy summary permits block execution
+	ok       bool // policy proved the span's sequential transfers
 	dataFree bool // policy proved per-access data checks cannot fire
 	w0       *uint64
 	g0       uint64
@@ -270,17 +276,18 @@ func (c *CPU) BuildBlockAt(pc uint32) *Block {
 }
 
 // blockFor returns the cache entry holding a valid block for pc, or nil
-// when this dispatch should single-step instead: the pc's first visit
-// (hotness gate) or a first instruction that will not decode (the step
-// produces the fault).
+// when this dispatch should single-step instead: the pre-cache warm-up,
+// the pc's first visit (hotness gate), or a first instruction that will
+// not decode (the step produces the fault).
 func (c *CPU) blockFor(pc uint32) *bcEntry {
 	if c.bcache == nil {
-		if c.dcache == nil {
-			// Still in the pre-cache warm-up (no address has been
-			// fetched twice): keep stepping, pay for nothing.
-			return nil
+		// The warm-up probe: step and pay for nothing until some pc
+		// recurs. That pc allocates the table and still steps, so the
+		// cache starts filling at the next dispatch.
+		if c.warm(pc) {
+			c.bcache = make([]bcEntry, bcacheSize)
 		}
-		c.bcache = make([]bcEntry, bcacheSize)
+		return nil
 	}
 	e := &c.bcache[pc&(bcacheSize-1)]
 	if e.tag == pc {
@@ -341,16 +348,11 @@ func (c *CPU) fillBlockEntry(e *bcEntry, pc uint32) bool {
 		return false
 	}
 	e.pe = c.polEpoch
-	e.ok = true
-	e.dataFree = false
+	e.dataFree, e.ok = c.spanCheck(e.blk.Start, e.blk.End)
 	e.w0, e.g0 = c.Mem.CodeStamp(pc)
 	e.w1 = nil
 	if last := e.blk.End - 1; last/mem.PageSize != pc/mem.PageSize {
 		e.w1, e.g1 = c.Mem.CodeStamp(last)
-	}
-	if c.bound != nil {
-		// Run only dispatches here when a block compiler is bound.
-		e.dataFree, e.ok = c.blockCheck(e.blk.Start, e.blk.End)
 	}
 	if st := c.BlockStats; st != nil {
 		st.Builds++
@@ -363,46 +365,80 @@ func (c *CPU) fillBlockEntry(e *bcEntry, pc uint32) bool {
 	return true
 }
 
+// spanCheck summarizes the bound policy over a block's span, as
+// BlockCheckCompiler does: no policy proves every span, and a policy
+// without a block compiler proves none.
+func (c *CPU) spanCheck(start, end uint32) (dataFree, ok bool) {
+	if c.bound == nil {
+		return true, true
+	}
+	if c.blockCheck == nil {
+		return false, false
+	}
+	return c.blockCheck(start, end)
+}
+
 // blockStep advances the machine by (at most) one basic block, retiring
 // no instruction past budget. It assumes c.state == Running and
 // c.Steps < budget.
 func (c *CPU) blockStep(budget uint64) {
 	c.ensureBound()
-	if c.bound != nil && c.blockCheck == nil {
-		// Policy without a block compiler: automatic stepping fallback.
-		if c.BlockStats != nil {
-			c.BlockStats.StepFalls++
-		}
-		c.Step()
-		return
+	if e := c.blockFor(c.IP); e != nil {
+		c.dispatch(e, budget)
+	} else {
+		c.stepCold()
 	}
-	e := c.blockFor(c.IP)
-	if e == nil || !e.ok {
-		if c.BlockStats != nil {
-			c.BlockStats.StepFalls++
-		}
-		c.Step()
-		return
-	}
+}
+
+// stepCold retires the instruction at IP for a pc the block cache does
+// not serve — a first visit, a demoted block, a first instruction that
+// does not decode — exactly as Step would, but decoding it straight from
+// memory: the decode cache belongs to the stepping engine.
+func (c *CPU) stepCold() {
 	if c.BlockStats != nil {
-		c.BlockStats.Dispatches++
+		c.BlockStats.StepFalls++
+	}
+	in, ok := c.fetchSlow()
+	if !ok {
+		return
+	}
+	ip := c.IP
+	next := ip + uint32(in.Size)
+	if c.exec1(in, ip, next) == execSeq {
+		c.Steps++
+		c.transfer(ip, next)
+	}
+}
+
+// dispatch runs e's block, retiring no instruction past budget, and
+// reports whether the whole block ran (no partial retirement).
+func (c *CPU) dispatch(e *bcEntry, budget uint64) bool {
+	if st := c.BlockStats; st != nil {
+		st.Dispatches++
+		if !e.ok {
+			st.Checked++
+		}
 	}
 	n := len(e.blk.ins)
+	full := true
 	if rem := budget - c.Steps; uint64(n) > rem {
 		// Partial retirement: StepLimit must fire at the same instruction
 		// count as the stepping engine.
 		n = int(rem)
+		full = false
 	}
 	if e.dataFree && (c.chkRead != nil || c.chkWrite != nil) {
 		c.noDataChk = true
 	}
 	c.runBlock(e, n)
 	c.noDataChk = false
+	return full
 }
 
-// runBlock executes the first n cached instructions of e's block. The
-// policy's block summary has already cleared every sequential transfer
-// inside the span, so fall-through retirement is a bare IP advance.
+// runBlock executes the first n cached instructions of e's block. In a
+// span the policy's block summary cleared, fall-through retirement is a
+// bare IP advance; in any other span it is Step's, through the policy's
+// exec check, which faults the instruction it denies.
 func (c *CPU) runBlock(e *bcEntry, n int) {
 	b := &e.blk
 	ip := c.IP
@@ -415,7 +451,11 @@ func (c *CPU) runBlock(e *bcEntry, n int) {
 			return
 		}
 		c.Steps++
-		c.IP = next
+		if e.ok {
+			c.IP = next
+		} else if !c.transfer(ip, next) {
+			return
+		}
 		ip = next
 		if b.wmask>>uint(i)&1 == 1 && i+1 < n && !c.blockValid(e) {
 			// The store may have rewritten this block's own bytes: bail

@@ -176,10 +176,11 @@ type TrapHandler interface {
 }
 
 // Decoded-instruction cache geometry: direct-mapped, indexed by the low
-// bits of the instruction address. Every process that re-executes code
-// allocates and zeroes the table, so it is sized for the short victim
-// runs that dominate sweeps; larger tables made their cold trials slower
-// (DESIGN.md, "Cache sizes").
+// bits of the instruction address. The cache serves the stepping engine
+// only (the block tiers keep decoded instructions in their blocks), and
+// every stepping process that re-executes code allocates and zeroes the
+// table, so it is sized for short runs; larger tables made cold trials
+// slower (DESIGN.md, "Cache sizes").
 const (
 	dcacheBits = 8
 	dcacheSize = 1 << dcacheBits
@@ -189,13 +190,16 @@ const (
 // allocation and zeroing — worth it the moment any code re-executes,
 // pure overhead for a process that runs front to back once
 // (kernel.Load-per-execution harnesses, wild one-shot fuzz inputs; see
-// BenchmarkFullReload). Until the caches exist, every fetch probes a
-// tiny direct-mapped table of recently fetched addresses; the first
-// refetched address — the earliest proof of re-execution, the same
-// signal the block engine's hotness gate keys on — trips allocation of
-// both caches. A cold CPU pays one array store per fetch and nothing
-// else; collisions merely delay the trip (never prevent correctness,
-// since the caches are semantically transparent).
+// BenchmarkFullReload). Until an engine's cache exists, each of its
+// instructions (a stepping fetch) or dispatches (a block-tier pc)
+// probes a tiny direct-mapped table of recently seen addresses; the
+// first recurring address — the earliest proof of re-execution, the
+// same signal the block engine's hotness gate keys on — trips
+// allocation of that engine's cache only: the decode table for the
+// stepping engine, the block table for the block tiers. A cold CPU pays
+// one array store per probe and nothing else; collisions merely delay
+// the trip (never prevent correctness, since the caches are
+// semantically transparent).
 const (
 	warmBits = 7
 	warmSize = 1 << warmBits
@@ -281,11 +285,12 @@ type CPU struct {
 	// no matter which engine tier was requested.
 	Prof *Profiler
 
-	// dcache is the decoded-instruction cache, allocated on the first
-	// warm-up trip (a refetched address — see warmTags).
+	// dcache is the stepping engine's decoded-instruction cache,
+	// allocated when Step's fetch trips the warm-up probe (a refetched
+	// address — see warmTags).
 	dcache []dcEntry
-	// bcache is the basic-block cache, allocated on the first block
-	// dispatch after the warm-up trip.
+	// bcache is the basic-block cache, allocated when the block
+	// dispatcher trips the warm-up probe (a recurring pc).
 	bcache []bcEntry
 	// tcache is the trace (superblock) cache, allocated on the first
 	// successful trace formation; rec is the armed trace recorder
@@ -293,8 +298,8 @@ type CPU struct {
 	tcache []tcEntry
 	rec    traceRec
 	// warmTags is the pre-cache hotness probe: a direct-mapped table of
-	// recently fetched instruction addresses, consulted only while
-	// dcache is nil.
+	// recently seen instruction addresses, consulted by fetch while
+	// dcache is nil and by blockFor while bcache is nil.
 	warmTags [warmSize]uint32
 	// cacheMem remembers which Memory the caches were filled against;
 	// swapping c.Mem drops both caches (their page stamps point into the
@@ -311,7 +316,7 @@ type CPU struct {
 	bound    Policy
 	// blockCheck is the block-span summarizer, bound when the Policy also
 	// implements BlockCheckCompiler; nil otherwise (then a non-nil Policy
-	// forces the stepping engine).
+	// proves no span, and every block runs checked — see spanCheck).
 	blockCheck func(start, end uint32) (dataFree, ok bool)
 	// polEpoch increments on every rebind, invalidating cached per-block
 	// policy summaries.
@@ -508,14 +513,16 @@ func (c *CPU) pop() (uint32, bool) {
 	return v, true
 }
 
-// fetch returns the decoded instruction at IP, consulting the decode
-// cache. A hit requires the entry's page write stamps to be current, so
-// any event that could have changed the bytes at IP since the fill forces
-// a fresh fetch — the cache can never serve stale bytes to self-modifying
-// code, code injection, or post-Protect fetches.
+// fetch returns the decoded instruction at IP for Step, consulting the
+// decode cache; the block tiers decode through their blocks and, for a
+// pc they step, through fetchSlow. A hit requires the entry's page write
+// stamps to be current, so any event that could have changed the bytes
+// at IP since the fill forces a fresh fetch — the cache can never serve
+// stale bytes to self-modifying code, code injection, or post-Protect
+// fetches.
 func (c *CPU) fetch() (isa.Instr, bool) {
 	if c.dcache == nil {
-		if !c.warm() {
+		if !c.warm(c.IP) {
 			if c.DecodeStats != nil {
 				c.DecodeStats.Misses++
 			}
@@ -545,22 +552,23 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 	return in, ok
 }
 
-// warm probes the pre-cache hotness table with the current IP: a hit —
-// this address was fetched before — is the proof of re-execution that
-// makes cache allocation worth paying. A miss records the address.
-func (c *CPU) warm() bool {
-	e := &c.warmTags[c.IP&(warmSize-1)]
-	if *e == c.IP {
+// warm probes the pre-cache hotness table with pc: a hit — this address
+// was seen before — is the proof of re-execution that makes cache
+// allocation worth paying. A miss records the address.
+func (c *CPU) warm(pc uint32) bool {
+	e := &c.warmTags[pc&(warmSize-1)]
+	if *e == pc {
 		return true
 	}
-	*e = c.IP
+	*e = pc
 	return false
 }
 
 // CacheFootprint reports whether the decoded-instruction and basic-block
 // caches have been allocated — the observable the lazy-allocation guard
 // (bench_test.go's full-reload benchmark) pins: a process that never
-// re-executes an address must never pay for either cache.
+// re-executes an address must never pay for either cache, and one that
+// does pays only for the cache of the engine that ran it.
 func (c *CPU) CacheFootprint() (decodeCache, blockCache bool) {
 	return c.dcache != nil, c.bcache != nil
 }
@@ -988,11 +996,11 @@ func (c *CPU) cond(op isa.Op) bool {
 // is observing, no breakpoints are armed — execution proceeds
 // basic-block-at-a-time through the block cache (block.go), and with
 // UseTraceEngine also set, superblock-at-a-time through the trace cache
-// (trace.go); otherwise, and whenever a Policy that cannot summarize
-// blocks is installed, Run falls back to the single-step reference
-// engine. All tiers are bit-identical, including the StepLimit point: a
-// block or trace member that would exceed the budget partially retires
-// and stops exactly at maxSteps.
+// (trace.go); otherwise Run uses the single-step reference engine. A
+// block whose span the Policy does not prove runs under the stepping
+// engine's per-instruction checks. All tiers are bit-identical,
+// including the StepLimit point: a block or trace member that would
+// exceed the budget partially retires and stops exactly at maxSteps.
 //
 // The policy checkers are (re)bound once at entry and once per
 // dispatched block; Step rebinds only if the Policy field changes

@@ -219,8 +219,8 @@ func TestBlockEngineBreakpointFallback(t *testing.T) {
 }
 
 // TestBlockEnginePolicyFallback: a Policy that does not implement
-// BlockCheckCompiler automatically falls back to stepping under Run and
-// enforces exactly as it would per instruction.
+// BlockCheckCompiler is enforced under Run exactly as it would be per
+// instruction.
 func TestBlockEnginePolicyFallback(t *testing.T) {
 	c := newMachine(t, build(
 		isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 7},

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"softsec/internal/isa"
@@ -39,6 +40,9 @@ type fuzzProg struct {
 	iters uint32 // initial EBP, the loop counter
 	esp   uint32
 	mid   uint64 // steps run before the second pass's restore
+	// guard is the byte range of the instruction the guarded policies
+	// (fuzzGuard) protect.
+	guard fuzzGuard
 }
 
 // genLoop turns fuzz input into a loop of valid SM32 instructions. Three
@@ -53,7 +57,15 @@ type fuzzProg struct {
 //	subi ebp, 1
 //	jnz  body
 //	hlt
+//
+// The input's last byte, an operand too, also picks the guarded
+// instruction: its index modulo the loop's length, closing three
+// included.
 func genLoop(data []byte) fuzzProg {
+	var last byte
+	if len(data) > 0 {
+		last = data[len(data)-1]
+	}
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -148,7 +160,42 @@ func genLoop(data []byte) fuzzProg {
 	for _, in := range body {
 		p.code = isa.MustEncode(p.code, in)
 	}
+	g := int(last) % len(body)
+	p.guard = fuzzGuard{lo: fuzzCode + off[g], hi: fuzzCode + off[g+1]}
 	return p
+}
+
+// fuzzGuard is a policy over one range of code bytes [lo, hi). CheckExec
+// denies every transfer that enters the range from below, as each
+// sequential transfer into it does, and CheckWrite every store that
+// overlaps it. It has no block compiler, so the block tiers run every
+// block they build checked.
+type fuzzGuard struct{ lo, hi uint32 }
+
+func (g *fuzzGuard) CheckRead(ip, addr uint32, size int) error { return nil }
+
+func (g *fuzzGuard) CheckWrite(ip, addr uint32, size int) error {
+	if addr < g.hi && addr+uint32(size) > g.lo {
+		return fmt.Errorf("store to guarded %#x", addr)
+	}
+	return nil
+}
+
+func (g *fuzzGuard) CheckExec(from, to uint32) error {
+	if from < g.lo && to >= g.lo && to < g.hi {
+		return fmt.Errorf("entry into guarded %#x", to)
+	}
+	return nil
+}
+
+// fuzzGuardCompiler is fuzzGuard with a block compiler that refuses every
+// span touching the range, fall-through included, and proves the
+// sequential transfers of every other span. Stores may reach the range
+// from anywhere, so it proves no span data-free.
+type fuzzGuardCompiler struct{ fuzzGuard }
+
+func (g *fuzzGuardCompiler) CompileBlockCheck(start, end uint32) (dataFree, ok bool) {
+	return false, end < g.lo || start >= g.hi
 }
 
 // fuzzMachine loads p at fuzzCode on an RWX text segment, with INT
@@ -177,15 +224,16 @@ func fuzzBytes(t *testing.T, c *CPU) []byte {
 	return append(text, stack...)
 }
 
-// fuzzRun runs p for fuzzBudget steps on the current tier under a memory
-// checkpoint and returns the outcome and the text and stack bytes the
-// run left. With mid > 0 it first runs mid steps and rolls memory and
-// architectural state back to the start, so the counted run meets code
-// caches filled by a run whose writes were undone. After the run,
-// restoring the checkpoint must give back the pre-run bytes.
-func fuzzRun(t *testing.T, p fuzzProg, mid uint64) (outcome, []byte) {
+// fuzzRun runs p for fuzzBudget steps on the current tier under pol and
+// a memory checkpoint, and returns the outcome and the text and stack
+// bytes the run left. With mid > 0 it first runs mid steps and rolls
+// memory and architectural state back to the start, so the counted run
+// meets code caches filled by a run whose writes were undone. After the
+// run, restoring the checkpoint must give back the pre-run bytes.
+func fuzzRun(t *testing.T, p fuzzProg, pol Policy, mid uint64) (outcome, []byte) {
 	t.Helper()
 	c := fuzzMachine(t, p)
+	c.Policy = pol
 	start := c.SaveArch()
 	pre := fuzzBytes(t, c)
 	cp := c.Mem.Checkpoint()
@@ -227,38 +275,59 @@ var (
 	// rewritten code.
 	fuzzSeedSMC = []byte{62, 128, 100,
 		73, 1, 16, 1, 3, 1, 90, 0, 8, 90, 0, 26, 1, 4, 1, 8, 6, 0}
+	// A sequential transfer into the guard in the middle of a block:
+	// call f; call f; jmp s; f: addi eax, 1; ret; s: five nops; addi
+	// ebx, 1 (the guard, picked by the last byte); nop. The mid-run
+	// restore comes after the first nop of s, so the counted run
+	// enters s's block on its second visit: built, refused by the
+	// guard's compiler, and faulting as it runs checked.
+	fuzzSeedGuard = []byte{62, 128, 1,
+		9, 3, 0, 9, 3, 0, 8, 5, 0, 1, 0, 1, 11, 0, 0,
+		35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 1, 3, 1, 35, 0, 10}
 )
 
 // FuzzEngineDifferential runs generated loops (genLoop) on the step,
 // block and trace tiers, each once from a cold machine and once after a
 // mid-run restore, and requires every run to leave the same outcome and
-// the same text and stack bytes as the cold stepping run.
+// the same text and stack bytes as the cold stepping run. It does so
+// three times: with no policy, and under the loop's guard (fuzzGuard)
+// without and with a block compiler.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add(fuzzSeedJumpChain)
 	f.Add(fuzzSeedPushCall)
 	f.Add(fuzzSeedSMC)
+	f.Add(fuzzSeedGuard)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := genLoop(data)
-		var want outcome
-		var wantMem []byte
-		for _, tier := range []struct {
-			name         string
-			block, trace bool
-		}{{"step", false, false}, {"block", true, false}, {"trace", true, true}} {
-			for _, mid := range []uint64{0, p.mid} {
-				withTiers(tier.block, tier.trace, func() {
-					got, gotMem := fuzzRun(t, p, mid)
-					if want.cov == nil {
-						want, wantMem = got, gotMem
-						return
-					}
-					if d := want.diff(got); d != "" {
-						t.Fatalf("%s, mid-run restore at %d: %s", tier.name, mid, d)
-					}
-					if !bytes.Equal(gotMem, wantMem) {
-						t.Fatalf("%s, mid-run restore at %d: text or stack bytes differ from the stepping run", tier.name, mid)
-					}
-				})
+		for _, pol := range []struct {
+			name string
+			pol  Policy
+		}{
+			{"no policy", nil},
+			{"guard without block compiler", &p.guard},
+			{"guard with block compiler", &fuzzGuardCompiler{p.guard}},
+		} {
+			var want outcome
+			var wantMem []byte
+			for _, tier := range []struct {
+				name         string
+				block, trace bool
+			}{{"step", false, false}, {"block", true, false}, {"trace", true, true}} {
+				for _, mid := range []uint64{0, p.mid} {
+					withTiers(tier.block, tier.trace, func() {
+						got, gotMem := fuzzRun(t, p, pol.pol, mid)
+						if want.cov == nil {
+							want, wantMem = got, gotMem
+							return
+						}
+						if d := want.diff(got); d != "" {
+							t.Fatalf("%s, %s, mid-run restore at %d: %s", pol.name, tier.name, mid, d)
+						}
+						if !bytes.Equal(gotMem, wantMem) {
+							t.Fatalf("%s, %s, mid-run restore at %d: text or stack bytes differ from the stepping run", pol.name, tier.name, mid)
+						}
+					})
+				}
 			}
 		}
 	})
@@ -287,5 +356,36 @@ func TestFuzzSeedShapes(t *testing.T) {
 	if c := run(genLoop(fuzzSeedSMC)); c.TraceStats.Formed < 2 || c.Reg[isa.EBX] != 4+32+31*0x11 || c.Reg[isa.ESI] != 5+31+32*0x11 {
 		t.Errorf("stores into the running block: formed %d traces, ebx %#x, esi %#x",
 			c.TraceStats.Formed, c.Reg[isa.EBX], c.Reg[isa.ESI])
+	}
+}
+
+// TestFuzzGuardSeedShape pins that fuzzSeedGuard reaches the path it is
+// named for on the default (trace) tier: under the guard's block
+// compiler, the run after the mid-run restore faults on the sequential
+// transfer into the guard, from the instruction before it, inside the one
+// block it ran checked.
+func TestFuzzGuardSeedShape(t *testing.T) {
+	p := genLoop(fuzzSeedGuard)
+	c := fuzzMachine(t, p)
+	c.Policy = &fuzzGuardCompiler{p.guard}
+	start := c.SaveArch()
+	cp := c.Mem.Checkpoint()
+	if st := c.Run(p.mid); st != StepLimit {
+		t.Fatalf("mid-run: state %v, fault %v", st, c.Fault())
+	}
+	if err := c.Mem.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	c.RestoreArch(start)
+	bs := &BlockStats{}
+	c.BlockStats = bs
+	if st := c.Run(fuzzBudget); st != Faulted {
+		t.Fatalf("state %v, want faulted", st)
+	}
+	if f := c.Fault(); f.Kind != FaultPolicy || f.IP != p.guard.lo-1 {
+		t.Fatalf("fault %v, want a policy fault at %#x", f, p.guard.lo-1)
+	}
+	if bs.Checked != 1 {
+		t.Fatalf("%d checked dispatches, want the one that faulted: %+v", bs.Checked, *bs)
 	}
 }

@@ -13,9 +13,11 @@ package cpu
 import "softsec/internal/telemetry"
 
 // DecodeStats counts decoded-instruction-cache activity when installed
-// on a CPU. On the stepping engine every retired instruction is exactly
-// one fetch, so for a run that halts cleanly Hits+Misses reconciles
-// with the retired-step count — the identity the telemetry tests pin.
+// on a CPU. Only the stepping engine fetches through the cache, and
+// there every retired instruction is exactly one fetch, so for a run
+// that halts cleanly Hits+Misses reconciles with the retired-step count
+// — the identity the telemetry tests pin. The block tiers count
+// nothing here.
 type DecodeStats struct {
 	Hits   uint64 // decode-cache hits
 	Misses uint64 // decode-cache misses (slow fetch+decode path)
@@ -48,6 +50,7 @@ func (st *BlockStats) Publish(s *telemetry.Snap) {
 	s.Count("cpu.block.builds", st.Builds)
 	s.Count("cpu.block.hits", st.Hits)
 	s.Count("cpu.block.dispatches", st.Dispatches)
+	s.Count("cpu.block.checked", st.Checked)
 	s.Count("cpu.block.stepfalls", st.StepFalls)
 	s.Count("cpu.block.stales", st.Stales)
 	s.Count("cpu.block.selfstales", st.SelfStales)

@@ -234,16 +234,6 @@ func excludedTraceTerm(b *Block) bool {
 // c.state == Running and c.Steps < budget.
 func (c *CPU) traceStep(budget uint64) {
 	c.ensureBound()
-	if c.bound != nil && c.blockCheck == nil {
-		// Policy without a block compiler: automatic stepping fallback
-		// (and no chain to record through it).
-		c.rec.active = false
-		if c.BlockStats != nil {
-			c.BlockStats.StepFalls++
-		}
-		c.Step()
-		return
-	}
 	pc := c.IP
 	if t := c.traceFor(pc); t != nil {
 		if c.rec.active {
@@ -257,33 +247,20 @@ func (c *CPU) traceStep(budget uint64) {
 	}
 	e := c.blockFor(pc)
 	if e == nil || !e.ok {
+		// No trace holds a stepped pc or a span the policy did not
+		// prove, so either ends the recorded chain.
 		c.rec.active = false
-		if c.BlockStats != nil {
-			c.BlockStats.StepFalls++
+		if e == nil {
+			c.stepCold()
+		} else {
+			c.dispatch(e, budget)
 		}
-		c.Step()
 		return
-	}
-	if c.BlockStats != nil {
-		c.BlockStats.Dispatches++
 	}
 	if e.exe != 0xFF {
 		e.exe++
 	}
-	n := len(e.blk.ins)
-	full := true
-	if rem := budget - c.Steps; uint64(n) > rem {
-		// Partial retirement: StepLimit must fire at the same instruction
-		// count as the stepping engine.
-		n = int(rem)
-		full = false
-	}
-	if e.dataFree && (c.chkRead != nil || c.chkWrite != nil) {
-		c.noDataChk = true
-	}
-	c.runBlock(e, n)
-	c.noDataChk = false
-	if full {
+	if c.dispatch(e, budget) {
 		c.recAfterBlock(pc, e)
 	} else {
 		c.rec.active = false
@@ -350,13 +327,9 @@ func (c *CPU) finishRec() {
 		if !c.buildBlock(pc, &b) || len(b.ins) == 0 || excludedTraceTerm(&b) {
 			break
 		}
-		dataFree := true
-		if c.bound != nil {
-			df, ok := c.blockCheck(b.Start, b.End)
-			if !ok {
-				break
-			}
-			dataFree = df
+		dataFree, ok := c.spanCheck(b.Start, b.End)
+		if !ok {
+			break
 		}
 		m := tmember{blk: b, dataFree: dataFree}
 		m.w0, m.g0 = c.Mem.CodeStamp(pc)

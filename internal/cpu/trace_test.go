@@ -316,8 +316,9 @@ func TestTraceBudgetExact(t *testing.T) {
 	}
 }
 
-// TestTraceNonCompilerPolicyDemotion: a policy without a block compiler
-// forces stepping; the trace tier must not engage.
+// TestTraceNonCompilerPolicyDemotion: under a policy without a block
+// compiler every block the engine runs is checked, and the trace tier
+// must not engage.
 func TestTraceNonCompilerPolicyDemotion(t *testing.T) {
 	c := newMachine(t, chainCode(3, 50))
 	st := &TraceStats{}
@@ -331,8 +332,8 @@ func TestTraceNonCompilerPolicyDemotion(t *testing.T) {
 	if st.Formed != 0 || st.Dispatches != 0 {
 		t.Fatalf("trace activity under a non-compiler policy: %+v", *st)
 	}
-	if bs.StepFalls == 0 {
-		t.Fatal("expected stepping fallbacks to be counted")
+	if bs.Checked == 0 || bs.Checked != bs.Dispatches {
+		t.Fatalf("want every block dispatch checked: %+v", *bs)
 	}
 }
 

@@ -156,6 +156,17 @@ func (s *Sweep) Refuse(why string, ignored func(name string, shared bool) bool) 
 	return err
 }
 
+// RefuseProfile returns Refuse's one-line error for a -profile other
+// than classic given next to selection, a selection whose cells fix
+// their own layout profile; nil for a classic or absent -profile.
+func (s *Sweep) RefuseProfile(selection string) error {
+	if s.Profile == "" || s.Profile == layout.Classic().Name {
+		return nil
+	}
+	return s.Refuse("with "+selection+" (its cells fix their own layout profile)",
+		func(name string, _ bool) bool { return name == "profile" })
+}
+
 // applyEngine pins the package-wide execution-tier switches to the
 // -engine selection; an unknown tier name is an error.
 func (s *Sweep) applyEngine() error {

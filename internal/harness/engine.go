@@ -66,8 +66,9 @@ type Report struct {
 	Telemetry *telemetry.Registry `json:"-"`
 	// WarmRestores and ColdLoads count how trials were served: by a
 	// snapshot Restore on a per-worker warm instance, or by a fresh
-	// cold load. Diagnostics only — excluded from JSON because the mix
-	// is an execution detail, never an observable result.
+	// cold load (a warm trial whose process failed to build, restoring
+	// nothing, counts here too). Diagnostics only — excluded from JSON
+	// because the mix is an execution detail, never an observable result.
 	WarmRestores int `json:"-"`
 	ColdLoads    int `json:"-"`
 }

@@ -40,7 +40,7 @@ type WarmInstance interface {
 type warmState struct {
 	inst   map[int]WarmInstance // by scenario index; nil entry = New failed
 	warmed int                  // trials served by Restore
-	cold   int                  // trials served by a fresh cold load
+	cold   int                  // trials served by a fresh cold load, or that built nothing to restore
 }
 
 // runUnit executes one (scenario, trial) unit, preferring the warm path
@@ -59,7 +59,13 @@ func (ws *warmState) runUnit(s Scenario, si int, t Trial) TrialResult {
 		if inst != nil {
 			res, ok := runWarmTrial(inst, t)
 			if ok {
-				ws.warmed++
+				// A trial that failed to build its process restored
+				// nothing.
+				if res.Err != nil {
+					ws.cold++
+				} else {
+					ws.warmed++
+				}
 				return res
 			}
 			// The instance panicked: its process state is suspect, so
