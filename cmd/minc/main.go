@@ -7,6 +7,11 @@
 //	minc -S file.c                 # emit assembly
 //	minc -run [-canary] [-bounds] [-dep] [-aslr -seed N] [-in "text"] file.c
 //	minc -analyze [-paranoid] file.c
+//
+// Exit status: 2 on bad input (usage, an unreadable file, a source that
+// does not compile, link or load), 1 when -analyze reports findings,
+// the guest's exit code under -run (128 when it stops without exiting),
+// 0 otherwise.
 package main
 
 import (
@@ -113,7 +118,9 @@ func main() {
 	}
 }
 
+// fatal reports bad input in one line and exits 2, so that a script can
+// tell it from -analyze's findings (exit 1).
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "minc:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

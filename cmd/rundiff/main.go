@@ -182,11 +182,11 @@ func printLedger(dir string) error {
 		fmt.Println("(empty ledger)")
 		return nil
 	}
-	fmt.Printf("%4s  %-25s  %-9s  %-6s  %-24s  %6s  %s\n",
-		"seq", "id", "tool", "kind", "label", "trials", "seed")
+	fmt.Printf("%4s  %-25s  %-9s  %-24s  %6s  %s\n",
+		"seq", "id", "tool", "label", "trials", "seed")
 	for _, e := range entries {
-		fmt.Printf("%4d  %-25s  %-9s  %-6s  %-24s  %6d  %d\n",
-			e.Seq, e.ID, e.Tool, e.Kind, e.Label, e.Trials, e.Seed)
+		fmt.Printf("%4d  %-25s  %-9s  %-24s  %6d  %d\n",
+			e.Seq, e.ID, e.Tool, e.Label, e.Trials, e.Seed)
 	}
 	return nil
 }

@@ -12,20 +12,19 @@
 // its own deterministic seed from -seed, re-randomizing the ASLR layout
 // and canary value when those mitigations are enabled, and the aggregate
 // success rate is reported. Results are independent of -jobs. The sweep
-// flags (-trials/-jobs/-seed/-json/-scenarios/-group/-engine/-profile)
-// are shared with cmd/attacklab through internal/harness/cli; -profile
+// flags (-trials/-jobs/-seed/-json/-scenarios/-group/-profile) are
+// shared with cmd/attacklab through internal/harness/cli; -profile
 // selects the machine layout profile (internal/layout) the victim
-// platform runs — classic, canary-below-vla, or inverted-locals — and
-// -engine selects the
-// execution tier (step, block, or trace — bit-identical, trace fastest).
+// platform runs — classic, canary-below-vla, or inverted-locals.
 // The shared telemetry flags collect per-trial metrics: -stats prints
 // every counter and histogram of the merged registry, one line each and
 // sorted by name, -metrics writes the same registry as JSON, -guestprof
 // writes a deterministic folded-stacks guest profile (and prints the
-// hot-cost table), and -evtrace writes engine events as Chrome
-// trace_event JSON. All four work on single trials and sweeps:
+// hot-cost table; it runs the stepping engine), and -evtrace writes
+// engine events as Chrome trace_event JSON. All four work on single
+// trials and sweeps:
 //
-//	secsim -attack rop-chain -dep -engine step       # reference tier
+//	secsim -attack rop-chain -dep -guestprof p.txt   # the stepping engine
 //	secsim -attack rop-chain -dep -stats             # the trial's counters
 //	secsim -attack stack-smash-inject -dep -trials 8 -jobs 2 \
 //	    -metrics m.json -guestprof p.txt -evtrace t.json

@@ -5,6 +5,9 @@
 //	smasm file.s              # assemble; print section sizes and symbols
 //	smasm -d file.s           # assemble then disassemble the text section
 //	smasm -gadgets file.s     # mine ROP gadgets from the text section
+//
+// Exit status: 2 on bad input (usage, an unreadable file, a source that
+// does not assemble), 0 otherwise.
 package main
 
 import (
@@ -63,7 +66,8 @@ func main() {
 	}
 }
 
+// fatal reports bad input in one line and exits 2.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "smasm:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

@@ -103,6 +103,29 @@ void main() {
 			t.Fatalf("analysis output:\n%s", out)
 		}
 	})
+	// Bad input exits 2 with one line, so a script can tell it from
+	// -analyze's findings (exit 1).
+	badC := filepath.Join(work, "bad.c")
+	if err := os.WriteFile(badC, []byte("int main( {\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missingC := filepath.Join(work, "missing.c")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"minc missing file exits 2", []string{missingC}, "minc: open " + missingC + ": no such file or directory\n"},
+		{"minc unparsable source exits 2", []string{badC}, "minc: " + badC + ":1: expected type, found \"{\"\n"},
+		{"minc -analyze missing file exits 2", []string{"-analyze", missingC}, "minc: open " + missingC + ": no such file or directory\n"},
+		{"minc -analyze unparsable source exits 2", []string{"-analyze", badC}, "minc: " + badC + ":1: expected type, found \"{\"\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if out := runTool(t, bin, "minc", 2, tc.args...); out != tc.want {
+				t.Fatalf("minc %v output:\n%s\nwant:\n%s", tc.args, out, tc.want)
+			}
+		})
+	}
 
 	sFile := filepath.Join(work, "prog.s")
 	if err := os.WriteFile(sFile, []byte(`
@@ -123,6 +146,16 @@ main:
 		}
 		if !strings.Contains(out, "pop ebx; ret") {
 			t.Fatalf("gadget mining output:\n%s", out)
+		}
+	})
+	t.Run("smasm bad source exits 2", func(t *testing.T) {
+		badS := filepath.Join(work, "bad.s")
+		if err := os.WriteFile(badS, []byte("\t.text\nmain:\n\tfrob eax\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := runTool(t, bin, "smasm", 2, badS)
+		if want := "smasm: " + badS + ":3: no instruction matches \"frob r\"\n"; out != want {
+			t.Fatalf("smasm output:\n%s\nwant:\n%s", out, want)
 		}
 	})
 
@@ -183,35 +216,6 @@ main:
 		out := runTool(t, bin, "secsim", 2, "-scenario", "fuzz/echo/none", "-cfi", "fine")
 		if !strings.Contains(out, "-cfi has no effect") {
 			t.Fatalf("secsim output:\n%s", out)
-		}
-	})
-	t.Run("secsim engine tiers agree", func(t *testing.T) {
-		// The execution tiers are bit-identical, so the classified
-		// outcome and exit code must not depend on -engine.
-		var outcomes [3]string
-		for i, engine := range []string{"step", "block", "trace"} {
-			out := runTool(t, bin, "secsim", 1,
-				"-attack", "return-to-libc", "-dep", "-engine", engine)
-			if !strings.Contains(out, "COMPROMISED") {
-				t.Fatalf("-engine %s output:\n%s", engine, out)
-			}
-			outcomes[i] = out
-		}
-		if outcomes[0] != outcomes[1] || outcomes[0] != outcomes[2] {
-			t.Fatalf("tier outputs differ:\nstep:\n%s\nblock:\n%s\ntrace:\n%s",
-				outcomes[0], outcomes[1], outcomes[2])
-		}
-	})
-	t.Run("secsim unknown engine exits 2", func(t *testing.T) {
-		out := runTool(t, bin, "secsim", 2, "-attack", "rop-chain", "-engine", "turbo")
-		if !strings.Contains(out, `unknown -engine "turbo"`) {
-			t.Fatalf("secsim output:\n%s", out)
-		}
-	})
-	t.Run("attacklab unknown engine exits 2", func(t *testing.T) {
-		out := runTool(t, bin, "attacklab", 2, "-list", "-engine", "turbo")
-		if !strings.Contains(out, `unknown -engine "turbo"`) {
-			t.Fatalf("attacklab output:\n%s", out)
 		}
 	})
 	t.Run("secsim unknown profile exits 2", func(t *testing.T) {
@@ -559,7 +563,7 @@ main:
 		if !strings.Contains(out, "fuzz/echo/none") {
 			t.Fatalf("rundiff -list output:\n%s", out)
 		}
-		// File mode loads each record through runlog.Load (schema, kind,
+		// File mode loads each record through runlog.Load (schema,
 		// content ID, embedded metrics), no ledger needed.
 		out = runTool(t, bin, "rundiff", 0,
 			filepath.Join(runs, "records", "000001.json"),
@@ -567,15 +571,15 @@ main:
 		if !strings.Contains(out, "deterministic content identical") {
 			t.Fatalf("rundiff file mode output:\n%s", out)
 		}
-		// Only sweep records load; an older ledger's bench-kind record is
-		// a load error (exit 2).
+		// A record from an older ledger (schema 1, with a kind and an
+		// engine in its config) is a load error: one line, exit 2.
 		bad := filepath.Join(work, "old_record.json")
-		if err := os.WriteFile(bad, []byte(`{"schema": 1, "tool": "runlog-record", "config": {"tool": "x", "kind": "bench"}}`), 0o644); err != nil {
+		if err := os.WriteFile(bad, []byte(`{"schema": 1, "tool": "runlog-record", "config": {"tool": "x", "kind": "sweep", "engine": "step"}}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		out = runTool(t, bin, "rundiff", 2, bad, filepath.Join(runs, "records", "000001.json"))
-		if !strings.Contains(out, `kind "bench"`) {
-			t.Fatalf("rundiff output:\n%s", out)
+		if want := "rundiff: " + bad + ": runlog: record: schema 1 (want 2)\n"; out != want {
+			t.Fatalf("rundiff output:\n%s\nwant:\n%s", out, want)
 		}
 	})
 	t.Run("rundiff missing ledger exits 2 and creates nothing", func(t *testing.T) {

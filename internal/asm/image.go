@@ -1,9 +1,6 @@
 package asm
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Section identifies which part of an Image a symbol or relocation lives in.
 type Section uint8
@@ -81,18 +78,6 @@ func (img *Image) AddSymbol(s Symbol) error {
 	cp := s
 	img.Symbols[s.Name] = &cp
 	return nil
-}
-
-// GlobalSymbols returns the exported symbols sorted by name.
-func (img *Image) GlobalSymbols() []*Symbol {
-	var out []*Symbol
-	for _, s := range img.Symbols {
-		if s.Global {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Patch32 overwrites the little-endian word at off in the given section.

@@ -166,14 +166,3 @@ func FindPopChain(gadgets []Gadget, n int) (Gadget, bool) {
 	}
 	return Gadget{}, false
 }
-
-// FindPopReg returns a gadget that pops exactly the given register then
-// returns (pop r; ret).
-func FindPopReg(gadgets []Gadget, r isa.Reg) (Gadget, bool) {
-	for _, g := range gadgets {
-		if regs, ok := g.PopRegs(); ok && len(regs) == 1 && regs[0] == r {
-			return g, true
-		}
-	}
-	return Gadget{}, false
-}

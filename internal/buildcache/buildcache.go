@@ -26,10 +26,9 @@
 //     byte-identical at any -jobs width. Worker-local warm-instance
 //     construction (see internal/harness) builds from its first trial's
 //     lookup and never looks up anything itself.
-//   - Eviction is insertion-ordered past a generous per-cache capacity.
-//     Shipped catalogs stay far below capacity, so Evictions is zero in
-//     practice; the cap exists only to bound memory on pathological
-//     workloads (where determinism of the counters is forfeit anyway).
+//   - Nothing is evicted. Every key comes from the finite scenario
+//     catalog and the harness resets each cache at the start of every
+//     run, so a cache holds at most one run's distinct keys.
 //
 // The harness engine calls ResetAll at the start of every Run, so each
 // sweep observes a cold cache and the counters it publishes describe
@@ -45,9 +44,8 @@ import (
 
 // Stats is one cache's (or the aggregate) counter snapshot.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // enabled gates the whole layer. Differential tests flip it off to
@@ -85,23 +83,16 @@ type entry[V any] struct {
 // Cache memoizes build results under comparable content keys.
 type Cache[K comparable, V any] struct {
 	cname string
-	cap   int
 
-	mu    sync.Mutex
-	m     map[K]*entry[V]
-	order []K
-	st    Stats
+	mu sync.Mutex
+	m  map[K]*entry[V]
+	st Stats
 }
 
-// New registers a named cache with the given capacity (entries). The
-// name keys its published counters (buildcache.<name>.hits, ...);
-// capacity bounds memory, not correctness (see the package comment on
-// eviction).
-func New[K comparable, V any](name string, capacity int) *Cache[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &Cache[K, V]{cname: name, cap: capacity, m: make(map[K]*entry[V])}
+// New registers a named cache. The name keys its published counters
+// (buildcache.<name>.hits, buildcache.<name>.misses).
+func New[K comparable, V any](name string) *Cache[K, V] {
+	c := &Cache[K, V]{cname: name, m: make(map[K]*entry[V])}
 	regMu.Lock()
 	registry = append(registry, c)
 	regMu.Unlock()
@@ -125,28 +116,11 @@ func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, error) {
 	c.st.Misses++
 	e := &entry[V]{done: make(chan struct{})}
 	c.m[key] = e
-	c.order = append(c.order, key)
-	c.evictLocked(key)
 	c.mu.Unlock()
 
 	e.val, e.err = build()
 	close(e.done)
 	return e.val, e.err
-}
-
-// evictLocked drops the oldest entries past capacity, never the key
-// just inserted. Caller holds c.mu.
-func (c *Cache[K, V]) evictLocked(keep K) {
-	for len(c.order) > c.cap {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if victim == keep {
-			c.order = append(c.order, victim)
-			continue
-		}
-		delete(c.m, victim)
-		c.st.Evictions++
-	}
 }
 
 // Stats snapshots the cache's counters.
@@ -162,7 +136,6 @@ func (c *Cache[K, V]) Stats() Stats {
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
 	c.m = make(map[K]*entry[V])
-	c.order = nil
 	c.st = Stats{}
 	c.mu.Unlock()
 }
@@ -185,17 +158,16 @@ func TotalStats() Stats {
 	each(func(_ string, s Stats) {
 		t.Hits += s.Hits
 		t.Misses += s.Misses
-		t.Evictions += s.Evictions
 	})
 	return t
 }
 
 // PublishCounters exports the cache counters through count, the
 // signature of telemetry.Registry.Count: the aggregate under
-// buildcache.{hits,misses,evictions} and every per-cache breakdown
-// under buildcache.<name>.{hits,misses,evictions}. Zero values are
-// passed through (Count skips them), so a disabled or idle cache layer
-// publishes no keys at all. Lookups are counted only on per-trial code
+// buildcache.{hits,misses} and every per-cache breakdown under
+// buildcache.<name>.{hits,misses}. Zero values are passed through
+// (Count skips them), so a disabled or idle cache layer publishes no
+// keys at all. Lookups are counted only on per-trial code
 // paths under singleflight, so every exported value is invariant
 // across -jobs widths — run records can carry them verbatim and
 // cross-run diffs of the counters are meaningful.
@@ -203,12 +175,10 @@ func PublishCounters(count func(name string, v uint64)) {
 	each(func(name string, s Stats) {
 		count("buildcache."+name+".hits", s.Hits)
 		count("buildcache."+name+".misses", s.Misses)
-		count("buildcache."+name+".evictions", s.Evictions)
 	})
 	t := TotalStats()
 	count("buildcache.hits", t.Hits)
 	count("buildcache.misses", t.Misses)
-	count("buildcache.evictions", t.Evictions)
 }
 
 // each visits every registered cache in name order with a counter

@@ -12,7 +12,7 @@ import (
 // built exactly once no matter how many goroutines race the first
 // lookup, and Misses counts distinct keys, not racing callers.
 func TestSingleflight(t *testing.T) {
-	c := New[int, int]("test.singleflight", 64)
+	c := New[int, int]("test.singleflight")
 	defer c.Reset()
 	var builds atomic.Uint64
 	const callers = 32
@@ -47,7 +47,7 @@ func TestSingleflight(t *testing.T) {
 // subsequent lookup observes the same error without re-building, so a
 // sweep's error cells stay byte-identical cached-vs-uncached.
 func TestErrorsAreCached(t *testing.T) {
-	c := New[string, int]("test.errors", 64)
+	c := New[string, int]("test.errors")
 	defer c.Reset()
 	boom := errors.New("boom")
 	var builds int
@@ -65,34 +65,10 @@ func TestErrorsAreCached(t *testing.T) {
 	}
 }
 
-// TestEvictionPastCapacity: the oldest entry is dropped once the cap is
-// exceeded and the eviction is counted.
-func TestEvictionPastCapacity(t *testing.T) {
-	c := New[int, int]("test.evict", 2)
-	defer c.Reset()
-	for k := 0; k < 3; k++ {
-		if _, err := c.Do(k, func() (int, error) { return k, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Evictions)
-	}
-	// Key 0 was evicted: looking it up again is a miss and rebuilds.
-	var rebuilt bool
-	if _, err := c.Do(0, func() (int, error) { rebuilt = true; return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !rebuilt {
-		t.Fatal("evicted key did not rebuild")
-	}
-}
-
 // TestDisabledBypasses: with the layer off, every call builds directly
 // and nothing is stored or counted — the uncached reference behavior.
 func TestDisabledBypasses(t *testing.T) {
-	c := New[int, int]("test.disabled", 64)
+	c := New[int, int]("test.disabled")
 	defer c.Reset()
 	prev := SetEnabled(false)
 	defer SetEnabled(prev)
@@ -115,7 +91,7 @@ func TestDisabledBypasses(t *testing.T) {
 // lock and singleflight paths, mirroring a parallel sweep's access
 // pattern (many workers, few distinct keys).
 func TestParallelHammer(t *testing.T) {
-	c := New[int, string]("test.hammer", 128)
+	c := New[int, string]("test.hammer")
 	defer c.Reset()
 	const workers = 16
 	const rounds = 8
@@ -152,8 +128,8 @@ func TestParallelHammer(t *testing.T) {
 // TestTotalStatsAggregates: the registry sums per-cache counters.
 func TestTotalStatsAggregates(t *testing.T) {
 	ResetAll()
-	a := New[int, int]("test.agg.a", 64)
-	b := New[int, int]("test.agg.b", 64)
+	a := New[int, int]("test.agg.a")
+	b := New[int, int]("test.agg.b")
 	defer ResetAll()
 	for i := 0; i < 2; i++ {
 		a.Do(1, func() (int, error) { return 1, nil })

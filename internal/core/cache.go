@@ -41,7 +41,7 @@ type victim struct {
 	reconErr error
 }
 
-var victims = buildcache.New[victimKey, *victim]("core.victim", 256)
+var victims = buildcache.New[victimKey, *victim]("core.victim")
 
 // lookupVictim is the one counted lookup of src's entry under m.
 func lookupVictim(src string, m Mitigations) (*victim, error) {

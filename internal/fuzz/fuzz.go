@@ -73,17 +73,6 @@ type Config struct {
 	// MaxExecs is the campaign budget in victim executions (including
 	// the seed-corpus runs). Zero means DefaultMaxExecs.
 	MaxExecs int
-	// MaxSteps bounds each execution; exceeding it classifies the run as
-	// a hang. Zero means DefaultExecSteps.
-	MaxSteps uint64
-	// MaxInput caps mutated input length. Zero means DefaultMaxInput.
-	MaxInput int
-	// MaxHeap caps the victim's heap segment (kernel.Config.MaxHeap).
-	// Zero means DefaultExecHeap — tight, like a fuzzer's RLIMIT: junk
-	// executions calling sbrk must not churn megabytes of pages per run.
-	MaxHeap uint32
-	// Seeds is the initial corpus; nil means DefaultSeeds().
-	Seeds [][]byte
 	// Profile names the machine layout profile (internal/layout) the
 	// victim is compiled for and loaded on. Empty means "classic". Like
 	// the matrix's Mitigations.Profile, it is platform identity, not a
@@ -91,7 +80,11 @@ type Config struct {
 	Profile string
 }
 
-// Campaign defaults.
+// Campaign limits. DefaultExecSteps bounds each execution; exceeding
+// it classifies the run as a hang. DefaultMaxInput caps mutated input
+// length. DefaultExecHeap caps the victim's heap segment
+// (kernel.Config.MaxHeap) — tight, like a fuzzer's RLIMIT: junk
+// executions calling sbrk must not churn megabytes of pages per run.
 const (
 	DefaultMaxExecs  = 2000
 	DefaultExecSteps = 20_000
@@ -99,8 +92,8 @@ const (
 	DefaultExecHeap  = 1 << 20
 )
 
-// DefaultSeeds is the initial corpus used when Config.Seeds is nil:
-// small benign-looking inputs; everything interesting is grown by the
+// DefaultSeeds is every campaign's initial corpus: small
+// benign-looking inputs; everything interesting is grown by the
 // mutators.
 func DefaultSeeds() [][]byte {
 	return [][]byte{
@@ -292,7 +285,7 @@ type victimKey struct {
 // linkCache memoizes the compile+link pass across campaign trials. Every
 // lookup is a counted Do on a per-trial path, so the published counters
 // stay identical at any worker count (see internal/buildcache).
-var linkCache = buildcache.New[victimKey, *kernel.Linked]("fuzz.link", 64)
+var linkCache = buildcache.New[victimKey, *kernel.Linked]("fuzz.link")
 
 // New compiles, links and loads the victim under the configured
 // mitigations, scrapes the mutation dictionary from the loaded image,
@@ -300,19 +293,6 @@ var linkCache = buildcache.New[victimKey, *kernel.Linked]("fuzz.link", 64)
 func New(cfg Config) (*Campaign, error) {
 	if cfg.MaxExecs == 0 {
 		cfg.MaxExecs = DefaultMaxExecs
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = DefaultExecSteps
-	}
-	if cfg.MaxInput == 0 {
-		cfg.MaxInput = DefaultMaxInput
-	}
-	if cfg.MaxHeap == 0 {
-		cfg.MaxHeap = DefaultExecHeap
-	}
-	seeds := cfg.Seeds
-	if seeds == nil {
-		seeds = DefaultSeeds()
 	}
 
 	rng := seedrand.New(cfg.Seed)
@@ -356,8 +336,8 @@ func New(cfg Config) (*Campaign, error) {
 		CanarySeed:  canarySeed,
 		CheckedLibc: cfg.Checked,
 		ShadowStack: cfg.ShadowStack,
-		MaxSteps:    cfg.MaxSteps,
-		MaxHeap:     cfg.MaxHeap,
+		MaxSteps:    DefaultExecSteps,
+		MaxHeap:     DefaultExecHeap,
 		Profile:     prof,
 	})
 	if err != nil {
@@ -383,7 +363,7 @@ func New(cfg Config) (*Campaign, error) {
 		cfg:       cfg,
 		rng:       rng,
 		proc:      p,
-		seeds:     seeds,
+		seeds:     DefaultSeeds(),
 		crashSigs: make(map[string]bool),
 		res: Result{
 			Name:             cfg.Name,
@@ -394,7 +374,7 @@ func New(cfg Config) (*Campaign, error) {
 			FirstExploitExec: -1,
 		},
 	}
-	c.sched = newMutator(buildDictionary(p), cfg.MaxInput)
+	c.sched = newMutator(buildDictionary(p), DefaultMaxInput)
 	p.CPU.Coverage = &c.execCov
 	c.baseSteps = p.CPU.Steps
 	c.snap = p.Snapshot()
@@ -562,18 +542,6 @@ func (c *Campaign) record(input []byte, r ExecResult) {
 
 // Result returns the campaign summary so far.
 func (c *Campaign) Result() Result { return c.res }
-
-// Run executes a whole campaign: New + Fuzz(MaxExecs) + Result.
-func Run(cfg Config) (Result, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := c.Fuzz(c.cfg.MaxExecs); err != nil {
-		return Result{}, err
-	}
-	return c.Result(), nil
-}
 
 // corpusEntry is one admitted input.
 type corpusEntry struct {

@@ -14,10 +14,10 @@ import (
 // the echo victim within the registered campaign budget, and the
 // recorded input must reproduce the crash.
 func TestFindsSeededCrash(t *testing.T) {
-	res, err := Run(Config{
+	res, _, err := RunCollected(Config{
 		Name: "echo", Source: fuzzVictimEcho,
 		Seed: 42, MaxExecs: ScenarioExecs,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestFindsSeededCrash(t *testing.T) {
 // independence contract.
 func TestCampaignDeterministic(t *testing.T) {
 	cfg := Config{Name: "echo", Source: fuzzVictimEcho, Seed: 7, MaxExecs: 600}
-	a, err := Run(cfg)
+	a, _, err := RunCollected(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, _, err := RunCollected(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMitigationsShiftOutcomes(t *testing.T) {
 	base := Config{Name: "echo", Source: fuzzVictimEcho, Seed: 42, MaxExecs: ScenarioExecs}
 
 	plain := base
-	res, err := Run(plain)
+	res, _, err := RunCollected(plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMitigationsShiftOutcomes(t *testing.T) {
 
 	guarded := base
 	guarded.Canary, guarded.DEP = true, true
-	res, err = Run(guarded)
+	res, _, err = RunCollected(guarded, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMitigationsShiftOutcomes(t *testing.T) {
 
 	cfi := base
 	cfi.DEP, cfi.ShadowStack = true, true
-	res, err = Run(cfi)
+	res, _, err = RunCollected(cfi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

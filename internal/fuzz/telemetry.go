@@ -5,11 +5,12 @@ import (
 	"softsec/internal/telemetry"
 )
 
-// RunCollected is Run with telemetry: when spec is non-nil, fresh
+// RunCollected executes a whole campaign — New, Fuzz(MaxExecs),
+// Result — optionally with telemetry: when spec is non-nil, fresh
 // instruments are attached to the campaign's victim before fuzzing and
 // the collected snapshot — engine counters plus the fuzz-layer
 // counters below — is returned alongside the result. A nil spec
-// behaves exactly like Run and returns a nil snapshot.
+// collects nothing and returns a nil snapshot.
 //
 // The retired-step total published as cpu.steps.retired is the
 // campaign's accumulated per-execution sum, not the CPU's own counter:

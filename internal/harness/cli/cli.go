@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"softsec/internal/cpu"
 	"softsec/internal/harness"
 	"softsec/internal/layout"
 	"softsec/internal/runlog"
@@ -36,11 +35,6 @@ type Sweep struct {
 	// Group restricts selection (and the -scenarios listing) to one
 	// scenario group.
 	Group string
-	// Engine selects the simulator execution tier: "step" (single-step
-	// reference), "block" (basic-block engine), or "trace" (blocks +
-	// superblocks, the default). All tiers are bit-identical — the flag
-	// exists for cross-checking results and for perf comparisons.
-	Engine string
 	// Profile selects the machine layout profile (internal/layout) the
 	// profile-sensitive scenario groups are registered with: frame
 	// geometry and segment placement. Empty means "classic".
@@ -82,7 +76,6 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 	fs.BoolVar(&s.JSON, "json", false, "emit the aggregate report as JSON")
 	fs.BoolVar(&s.List, "scenarios", false, "list every registered harness scenario")
 	fs.StringVar(&s.Group, "group", "", "restrict to one scenario group (see -scenarios)")
-	fs.StringVar(&s.Engine, "engine", "trace", "execution tier: step, block, or trace (bit-identical; trace is fastest)")
 	fs.StringVar(&s.Profile, "profile", "", "machine layout profile: "+strings.Join(layout.Names(), ", ")+" (default classic)")
 	fs.StringVar(&s.Metrics, "metrics", "", "write the merged telemetry registry as JSON to this file")
 	fs.StringVar(&s.GuestProf, "guestprof", "", "deterministic guest profile: write folded stacks to this file (forces the step engine)")
@@ -94,11 +87,11 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 	s.fs = fs
 }
 
-// Check validates the parsed flag values and pins the execution tier, so
-// that bad input fails with one line before anything is printed or run:
-// -trials below 1, an unknown -progress mode, layout profile or engine,
-// a -metrics, -guestprof or -evtrace file whose directory does not
-// exist, or a -runlog ledger the run's record could not be appended to.
+// Check validates the parsed flag values, so that bad input fails with
+// one line before anything is printed or run: -trials below 1, an
+// unknown -progress mode or layout profile, a -metrics, -guestprof or
+// -evtrace file whose directory does not exist, or a -runlog ledger the
+// run's record could not be appended to.
 // Then, the values being good, it refuses every shared flag the
 // -scenarios listing would ignore: all but -group. Both sweep binaries
 // call it right after flag parsing and exit 2 on error.
@@ -127,8 +120,8 @@ func (s *Sweep) Check() error {
 			return err
 		}
 	}
-	if err := s.applyEngine(); err != nil || !s.List {
-		return err
+	if !s.List {
+		return nil
 	}
 	return s.Refuse("with -scenarios (it lists the catalog, narrowed only by -group)", func(name string, shared bool) bool {
 		return shared && name != "scenarios" && name != "group"
@@ -165,22 +158,6 @@ func (s *Sweep) RefuseProfile(selection string) error {
 	}
 	return s.Refuse("with "+selection+" (its cells fix their own layout profile)",
 		func(name string, _ bool) bool { return name == "profile" })
-}
-
-// applyEngine pins the package-wide execution-tier switches to the
-// -engine selection; an unknown tier name is an error.
-func (s *Sweep) applyEngine() error {
-	switch s.Engine {
-	case "step":
-		cpu.UseBlockEngine, cpu.UseTraceEngine = false, false
-	case "block":
-		cpu.UseBlockEngine, cpu.UseTraceEngine = true, false
-	case "trace", "":
-		cpu.UseBlockEngine, cpu.UseTraceEngine = true, true
-	default:
-		return fmt.Errorf("unknown -engine %q (want step, block, or trace)", s.Engine)
-	}
-	return nil
 }
 
 // Options converts the flag values into engine options.
@@ -311,9 +288,7 @@ func (s *Sweep) appendRunLog(rep *harness.Report, scs []harness.Scenario, elapse
 		jobs = runtime.NumCPU()
 	}
 	cfg := runlog.Config{
-		Tool: s.tool, Kind: runlog.KindSweep,
-		Group: s.Group, Trials: rep.Trials, Seed: s.Seed,
-		Engine: s.Engine, Profile: s.Profile,
+		Tool: s.tool, Group: s.Group, Trials: rep.Trials, Seed: s.Seed, Profile: s.Profile,
 	}
 	if cfg.Group == "" && len(scs) == 1 {
 		cfg.Scenario = scs[0].Name

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"softsec/internal/cpu"
 	"softsec/internal/harness"
 )
 
@@ -49,34 +48,6 @@ func TestRegisterDefaults(t *testing.T) {
 	}
 	if s.TelemetrySpec() == nil {
 		t.Fatal("-stats did not turn telemetry collection on")
-	}
-}
-
-func TestApplyEngine(t *testing.T) {
-	savedB, savedT := cpu.UseBlockEngine, cpu.UseTraceEngine
-	defer func() { cpu.UseBlockEngine, cpu.UseTraceEngine = savedB, savedT }()
-	for _, tc := range []struct {
-		engine       string
-		block, trace bool
-	}{
-		{"step", false, false},
-		{"block", true, false},
-		{"trace", true, true},
-		{"", true, true},
-	} {
-		s := Sweep{Trials: 1, Engine: tc.engine}
-		if err := s.Check(); err != nil {
-			t.Fatalf("Check(-engine %q): %v", tc.engine, err)
-		}
-		if cpu.UseBlockEngine != tc.block || cpu.UseTraceEngine != tc.trace {
-			t.Fatalf("Check(-engine %q): block=%v trace=%v, want %v/%v",
-				tc.engine, cpu.UseBlockEngine, cpu.UseTraceEngine, tc.block, tc.trace)
-		}
-	}
-	s := Sweep{Trials: 1, Engine: "turbo"}
-	if err := s.Check(); err == nil ||
-		!strings.Contains(err.Error(), `unknown -engine "turbo"`) {
-		t.Fatalf("err = %v, want unknown-engine error", err)
 	}
 }
 

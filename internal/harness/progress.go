@@ -30,18 +30,13 @@ type Progress struct {
 	// plain newline-separated lines. The CLI sets it from an isatty
 	// probe of W; plain mode is what CI logs see.
 	TTY bool
-	// Interval overrides the sampling period: default 200ms on a TTY,
-	// 2s in plain mode (CI logs should not scroll with redraws).
-	Interval time.Duration
 	// Label prefixes every line, conventionally the swept group.
 	Label string
 }
 
-// interval returns the effective render period.
+// interval returns the render period: 200ms on a TTY, 2s in plain
+// mode (CI logs should not scroll with redraws).
 func (p *Progress) interval() time.Duration {
-	if p.Interval > 0 {
-		return p.Interval
-	}
 	if p.TTY {
 		return 200 * time.Millisecond
 	}

@@ -57,18 +57,13 @@ func NominalLayoutFor(p *layout.Profile) Layout {
 	}
 }
 
-// RandomizedLayout draws page-aligned base offsets from rng for the
-// classic profile, implementing Address Space Layout Randomization
-// (Section III-C1): it makes the addresses an exploit must guess — buffer
-// locations, saved return addresses, gadget addresses — unpredictable.
-func RandomizedLayout(rng *rand.Rand) Layout {
-	return RandomizedLayoutFor(rng, nil)
-}
-
-// RandomizedLayoutFor randomizes a profile's layout. Draw order is fixed
-// (text, data, heap, stack) so a given seed produces the same layout
-// regardless of call-site history; the window widths come from the
-// profile.
+// RandomizedLayoutFor draws page-aligned base offsets from rng for a
+// profile's layout, implementing Address Space Layout Randomization
+// (Section III-C1): it makes the addresses an exploit must guess —
+// buffer locations, saved return addresses, gadget addresses —
+// unpredictable. Draw order is fixed (text, data, heap, stack) so a
+// given seed produces the same layout regardless of call-site history;
+// the window widths come from the profile.
 func RandomizedLayoutFor(rng *rand.Rand, p *layout.Profile) Layout {
 	p = layout.OrClassic(p)
 	page := func(maxPages int32) uint32 {

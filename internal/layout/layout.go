@@ -296,6 +296,3 @@ func (f Frame) CanaryOffFrom(i int) (off int, crossed bool) {
 	}
 	return int(f.CanaryOff - f.Offs[i]), f.CanaryOff > f.Offs[i]
 }
-
-// OffsetOf returns local i's frame offset (negative, EBP-relative).
-func (f Frame) OffsetOf(i int) int32 { return f.Offs[i] }

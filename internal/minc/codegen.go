@@ -71,15 +71,6 @@ func Compile(name, src string, opt Options) (*asm.Image, error) {
 	return img, nil
 }
 
-// MustCompile is Compile for trusted static sources; it panics on error.
-func MustCompile(name, src string, opt Options) *asm.Image {
-	img, err := Compile(name, src, opt)
-	if err != nil {
-		panic(err)
-	}
-	return img
-}
-
 // CompileToAsm compiles MinC source to SM32 assembly text.
 func CompileToAsm(name, src string, opt Options) (string, error) {
 	f, err := Parse(name, src)

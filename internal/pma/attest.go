@@ -124,9 +124,6 @@ func (h *Hardware) CounterIncrement(id string) uint64 {
 // SysAttest is the syscall number for in-module attestation requests.
 const SysAttest = 0x30
 
-// AttestReportSize is the byte size of an attestation report.
-const AttestReportSize = sha256.Size
-
 // InstallAttestService wires the attestation hardware into a process: a
 // protected module calls INT 0x80 with EAX=SysAttest, EBX=nonce pointer,
 // ECX=nonce length, EDX=report output pointer. The hardware identifies the

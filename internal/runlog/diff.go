@@ -113,12 +113,10 @@ func (d *Diff) diffConfig() {
 	}
 	a, b := d.A.Config, d.B.Config
 	add("tool", a.Tool, b.Tool)
-	add("kind", a.Kind, b.Kind)
 	add("group", a.Group, b.Group)
 	add("scenario", a.Scenario, b.Scenario)
 	add("trials", fmt.Sprint(a.Trials), fmt.Sprint(b.Trials))
 	add("seed", fmt.Sprint(a.Seed), fmt.Sprint(b.Seed))
-	add("engine", a.Engine, b.Engine)
 	add("profile", a.Profile, b.Profile)
 }
 

@@ -14,10 +14,10 @@
 //
 //	<key>-<digest>
 //
-// The key hashes the run's *inputs* (tool, kind, selection, trials,
-// seed, engine, profile — everything that defines the experiment,
-// deliberately excluding the worker-pool width and the machine), so two
-// runs of the same experiment share a key anywhere. The digest hashes
+// The key hashes the run's *inputs* (tool, selection, trials, seed,
+// profile — everything that defines the experiment, deliberately
+// excluding the worker-pool width and the machine), so two runs of the
+// same experiment share a key anywhere. The digest hashes
 // the *deterministic outputs* (report bytes, metric counters and
 // histograms — never the quarantined wall section or the environment),
 // so byte-identical runs share a full ID and a changed outcome or
@@ -39,14 +39,12 @@ import (
 )
 
 // Schema versions the record format; Tool tags a file as a run record,
-// as telemetry.MetricsTool tags a metrics file.
+// as telemetry.MetricsTool tags a metrics file. Load refuses a record of
+// any other schema.
 const (
-	Schema = 1
+	Schema = 2
 	Tool   = "runlog-record"
 )
-
-// KindSweep is the record kind of a harness sweep: report + metrics.
-const KindSweep = "sweep"
 
 // Env is the environment fingerprint: the machine and process context a
 // run executed under. It is recorded for provenance and diff rendering
@@ -91,12 +89,10 @@ func (e Env) PublishWall(reg *telemetry.Registry) {
 // matching the CLI's -group/-scenario split).
 type Config struct {
 	Tool     string `json:"tool"` // secsim, attacklab
-	Kind     string `json:"kind"` // KindSweep; hashed into every ledger ID
 	Group    string `json:"group,omitempty"`
 	Scenario string `json:"scenario,omitempty"`
 	Trials   int    `json:"trials,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
-	Engine   string `json:"engine,omitempty"`
 	Profile  string `json:"profile,omitempty"`
 }
 
@@ -188,9 +184,17 @@ func (r *Record) Marshal() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Load parses and validates a serialized record: schema, tool tag,
-// kind, the content ID (tamper evidence) and the embedded metrics.
+// Load parses and validates a serialized record: schema, tool tag, the
+// content ID (tamper evidence) and the embedded metrics. The schema is
+// read first, so a record of another format is refused by its version
+// rather than by the first field it no longer has.
 func Load(data []byte) (*Record, error) {
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if json.Unmarshal(data, &head) == nil && head.Schema != Schema {
+		return nil, fmt.Errorf("runlog: record: schema %d (want %d)", head.Schema, Schema)
+	}
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var r Record
@@ -206,9 +210,6 @@ func validate(r *Record) error {
 	}
 	if r.Tool != Tool {
 		return fmt.Errorf("runlog: record: tool %q (want %q)", r.Tool, Tool)
-	}
-	if r.Config.Kind != KindSweep {
-		return fmt.Errorf("runlog: record: kind %q (want %q)", r.Config.Kind, KindSweep)
 	}
 	if len(r.Report) == 0 {
 		return fmt.Errorf("runlog: sweep record without a report")

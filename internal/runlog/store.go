@@ -32,7 +32,6 @@ type LedgerEntry struct {
 	Seq    int    `json:"seq"`
 	ID     string `json:"id"`
 	Tool   string `json:"tool"`
-	Kind   string `json:"kind"`
 	Label  string `json:"label"`
 	Trials int    `json:"trials,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
@@ -52,9 +51,6 @@ type Store struct {
 func Open(dir string) *Store {
 	return &Store{dir: dir}
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Append seals, validates and persists a record, returning its ledger
 // entry. The record file lands before the ledger line, so a crash
@@ -111,7 +107,6 @@ func (s *Store) Append(r *Record) (LedgerEntry, error) {
 		Seq:    seq,
 		ID:     r.ID,
 		Tool:   r.Config.Tool,
-		Kind:   r.Config.Kind,
 		Label:  r.Config.Label(),
 		Trials: r.Config.Trials,
 		Seed:   r.Config.Seed,

@@ -107,8 +107,8 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 }
 
 // TestGuestProfileEngineIndependent: installing a profiler pins
-// execution to the stepping engine, so -engine step/block/trace produce
-// byte-identical folded profiles.
+// execution to the stepping engine, so the step, block and trace tier
+// settings produce byte-identical folded profiles.
 func TestGuestProfileEngineIndependent(t *testing.T) {
 	savedB, savedT := cpu.UseBlockEngine, cpu.UseTraceEngine
 	defer func() { cpu.UseBlockEngine, cpu.UseTraceEngine = savedB, savedT }()
