@@ -13,11 +13,12 @@ import (
 	"os"
 
 	"softsec/internal/figures"
+	"softsec/internal/harness/cli"
 )
 
 func main() {
 	fig := flag.Int("fig", 0, "figure number (1-4); 0 = all")
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 
 	render := map[int]func() (string, error){
 		1: figures.Fig1,

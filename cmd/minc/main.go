@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"softsec/internal/cpu"
+	"softsec/internal/harness/cli"
 	"softsec/internal/kernel"
 	"softsec/internal/minc"
 	"softsec/internal/minc/analysis"
@@ -39,10 +40,9 @@ func main() {
 		input    = flag.String("in", "", "bytes fed to the program's first read()")
 		trace    = flag.Bool("trace", false, "trace syscalls")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: minc [flags] file.c")
-		flag.Usage()
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"softsec/internal/harness/cli"
 	"softsec/internal/runlog"
 )
 
@@ -66,7 +67,7 @@ func main() {
 			"With no refs, compares the ledger's last two runs.\n\n")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 
 	if *list {
 		if *dir == "" {

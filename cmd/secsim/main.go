@@ -73,7 +73,7 @@ func main() {
 		sweep   cli.Sweep
 	)
 	sweep.Register(flag.CommandLine, 42)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 	refuse := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "secsim:", err)

@@ -18,6 +18,7 @@ import (
 
 	"softsec/internal/asm"
 	"softsec/internal/attack"
+	"softsec/internal/harness/cli"
 	"softsec/internal/isa"
 )
 
@@ -26,7 +27,7 @@ func main() {
 		disasm  = flag.Bool("d", false, "disassemble the assembled text")
 		gadgets = flag.Bool("gadgets", false, "mine RET-terminated gadgets")
 	)
-	flag.Parse()
+	cli.Parse(flag.CommandLine, os.Args[1:])
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: smasm [-d] [-gadgets] file.s")
 		os.Exit(2)

@@ -254,6 +254,37 @@ main:
 			}
 		})
 	}
+	// So is a ledger that lists a record of an older schema: appending
+	// to it would leave runs rundiff cannot compare.
+	oldRuns := filepath.Join(work, "old_runs")
+	if err := os.MkdirAll(filepath.Join(oldRuns, "records"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(oldRuns, "records", "000001.json"), []byte(`{"schema": 1, "tool": "runlog-record", "id": "x", "config": {"tool": "secsim", "kind": "sweep", "engine": "step"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(oldRuns, "ledger.jsonl"), []byte(`{"seq": 1, "id": "x", "tool": "secsim", "label": "fuzz/echo/none", "file": "records/000001.json", "unix_ms": 1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		tool string
+		args []string
+	}{
+		{"secsim", []string{"-scenario", "fuzz/echo/none", "-trials", "2", "-runlog", oldRuns}},
+		{"attacklab", []string{"-group", "t1", "-trials", "2", "-runlog", oldRuns}},
+	} {
+		t.Run(tc.tool+" older-schema run ledger exits 2", func(t *testing.T) {
+			out := runTool(t, bin, tc.tool, 2, tc.args...)
+			if want := tc.tool + ": records/000001.json: runlog: record: schema 1 (want 2)\n"; out != want {
+				t.Fatalf("%s output:\n%s\nwant:\n%s", tc.tool, out, want)
+			}
+		})
+	}
+	t.Run("refused older-schema ledger is unchanged", func(t *testing.T) {
+		if _, err := os.Stat(filepath.Join(oldRuns, "records", "000002.json")); !os.IsNotExist(err) {
+			t.Fatalf("a refused sweep appended a record (stat: %v)", err)
+		}
+	})
 	// Bad sweep flag values are caught right after flag parsing: exit 2
 	// and one line, before any header prints or any trial runs, whether
 	// or not the command line asks for a sweep.
@@ -345,6 +376,32 @@ main:
 			}
 		})
 	}
+	// A flag a tool does not define, or a value that does not parse, is
+	// bad input too: exit 2 and one line naming the flag, not the usage.
+	// -h still prints the usage, which lists the tool's flags, and exits 0.
+	for _, tc := range []struct {
+		tool, own string
+		args      []string
+		want      string
+	}{
+		{"attacklab", "-machine", []string{"-bogus"}, "flag provided but not defined: -bogus"},
+		{"figures", "-fig", []string{"-fig", "one"}, `invalid value "one" for flag -fig: parse error`},
+		{"minc", "-analyze", []string{"-bogus", "prog.c"}, "flag provided but not defined: -bogus"},
+		{"rundiff", "-floor", []string{"-floor", "speed"}, `invalid value "speed" for flag -floor: want name=ratio, got "speed"`},
+		{"secsim", "-attack", []string{"-engine", "step"}, "flag provided but not defined: -engine"},
+		{"smasm", "-gadgets", []string{"-d", "-bogus", "prog.s"}, "flag provided but not defined: -bogus"},
+	} {
+		t.Run(tc.tool+" bad flag exits 2 with one line", func(t *testing.T) {
+			if out, want := runTool(t, bin, tc.tool, 2, tc.args...), tc.tool+": "+tc.want+"\n"; out != want {
+				t.Fatalf("%s %v output:\n%s\nwant:\n%s", tc.tool, tc.args, out, want)
+			}
+		})
+		t.Run(tc.tool+" -h prints the usage", func(t *testing.T) {
+			if out := runTool(t, bin, tc.tool, 0, "-h"); !strings.Contains(out, "\n  "+tc.own) {
+				t.Fatalf("%s -h output lists no %s:\n%s", tc.tool, tc.own, out)
+			}
+		})
+	}
 	t.Run("attacklab -list refusal wrote no metrics file", func(t *testing.T) {
 		if _, err := os.Stat(listMetrics); !os.IsNotExist(err) {
 			t.Fatalf("refused run wrote %s (stat err %v)", listMetrics, err)
@@ -377,6 +434,10 @@ main:
 	})
 	// -stats lists every counter and histogram of the run's registry;
 	// one name from each family shows the whole registry is rendered.
+	// The sweeps below run t1, whose trials run long enough to form
+	// blocks. Under -stats a warm trial resets its caches, and a cfi
+	// trial is too short to form one: a cfi sweep prints no
+	// cpu.block.dispatches.
 	statsFamilies := []string{"cpu.block.dispatches", "buildcache.hits", "harness.warm_restores"}
 	t.Run("secsim -stats", func(t *testing.T) {
 		// A single trial lists its own counters after the outcome lines.
@@ -385,7 +446,7 @@ main:
 			t.Fatalf("single-trial listing missing or before the outcome:\n%s", out)
 		}
 		// In -json mode the listing goes to stderr and stdout stays JSON.
-		stdout, stderr := runToolStd(t, bin, "secsim", 0, "-group", "cfi", "-trials", "2", "-jobs", "2", "-json", "-stats")
+		stdout, stderr := runToolStd(t, bin, "secsim", 0, "-group", "t1", "-trials", "2", "-jobs", "2", "-json", "-stats")
 		if !strings.HasPrefix(stdout, "{") || strings.Contains(stdout, "buildcache.hits") {
 			t.Fatalf("stdout is not pure report JSON:\n%.400s", stdout)
 		}
@@ -398,8 +459,8 @@ main:
 	t.Run("attacklab -stats over a sweep", func(t *testing.T) {
 		// Telemetry flags imply sweep mode, so attacklab renders the same
 		// registry listing secsim does, after the table.
-		out := runTool(t, bin, "attacklab", 0, "-group", "cfi", "-trials", "1", "-stats")
-		for _, want := range append([]string{"cfi/jop-entry-reuse/coarse"}, statsFamilies...) {
+		out := runTool(t, bin, "attacklab", 0, "-group", "t1", "-trials", "2", "-stats")
+		for _, want := range append([]string{"t1/stack-smash-inject/canary"}, statsFamilies...) {
 			if !strings.Contains(out, want) {
 				t.Fatalf("attacklab -stats missing %q:\n%s", want, out)
 			}

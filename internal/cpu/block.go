@@ -88,8 +88,9 @@ type BlockCheckCompiler interface {
 // table is sized like the decode cache (see dcacheBits); with fewer
 // slots, the blocks of a fuzz campaign's hot loops conflict often
 // enough to slow it. Allocation is warm-gated (see the warm-up probe in
-// cpu.go): only a process that demonstrably re-executes code pays the
-// table's zeroing, so one-shot loads (BenchmarkFullReload) stay free.
+// cpu.go): only a process that builds a block pays the table's zeroing,
+// so one-shot loads (BenchmarkFullReload) and short reseeded trials stay
+// free.
 const (
 	bcacheBits = 8
 	bcacheSize = 1 << bcacheBits
@@ -281,13 +282,15 @@ func (c *CPU) BuildBlockAt(pc uint32) *Block {
 // not decode (the step produces the fault).
 func (c *CPU) blockFor(pc uint32) *bcEntry {
 	if c.bcache == nil {
-		// The warm-up probe: step and pay for nothing until some pc
-		// recurs. That pc allocates the table and still steps, so the
-		// cache starts filling at the next dispatch.
-		if c.warm(pc) {
-			c.bcache = make([]bcEntry, bcacheSize)
+		// The warm-up probe: step and pay for nothing until some pc's
+		// visits reach warmBlockVisit. That dispatch allocates the table
+		// and builds the pc's block: the probe counted the visits the
+		// hotness gate would have, so the slot enters the gate one short.
+		if c.warm(pc) < warmBlockVisit {
+			return nil
 		}
-		return nil
+		c.bcache = make([]bcEntry, bcacheSize)
+		c.bcache[pc&(bcacheSize-1)] = bcEntry{tag: pc, heat: blockHeat - 1}
 	}
 	e := &c.bcache[pc&(bcacheSize-1)]
 	if e.tag == pc {

@@ -13,14 +13,15 @@ const blockChainSize = 11
 // wideLoop returns a loop that runs iters times over a chain of links
 // one-block basic blocks (ADDI; JMP to the next instruction), each
 // blockChainSize bytes, so the loop body covers links·11 bytes of code.
-// A two-pass spin comes first: the warm-up probe remembers only the last
-// 128 fetch addresses by their low bits, so a loop that wide would never
-// refetch an address the probe still holds.
+// A four-pass spin comes first: the warm-up probe remembers only the
+// last 128 fetch addresses by their low bits, so a loop that wide would
+// never revisit an address the probe still holds, and the spin's head
+// reaches warmBlockVisit on its fourth pass.
 func wideLoop(links int, iters uint32) []byte {
 	var code []byte
 	add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
 	add(isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: iters}) // 5 bytes
-	add(isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: 2})     // 5 bytes
+	add(isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: 4})     // 5 bytes
 	add(isa.Instr{Op: isa.SUBI, Rd: isa.EDX, Imm: 1})     // 6 bytes
 	add(isa.Instr{Op: isa.JNZ, Imm: ^uint32(10)})         // 5 bytes: back 11
 	for i := 0; i < links; i++ {
@@ -64,10 +65,10 @@ func withTiers(block, trace bool, f func()) {
 	f()
 }
 
-// TestCacheSizes pins what the first recurring address of a short loop
-// allocates on each tier: the stepping engine 256 decode slots (16 KiB
-// on 64-bit hosts) and no block table, the block and trace tiers 256
-// block slots (28 KiB) and no decode table.
+// TestCacheSizes pins what a short loop allocates on each tier: the
+// stepping engine 256 decode slots (14 KiB on 64-bit hosts) and no block
+// table, the block and trace tiers 256 block slots (24 KiB) and no
+// decode table.
 func TestCacheSizes(t *testing.T) {
 	const want = 256
 	for _, tier := range []struct {
@@ -89,6 +90,85 @@ func TestCacheSizes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCacheTripPoints pins the visit on which each tier allocates its
+// cache, on a loop whose head is the only recurring block:
+//
+//	movi ecx, 4
+//	head: subi ecx, 1
+//	      jnz head
+//	      hlt
+//
+// The block tiers allocate no table while the head has been visited
+// three times; the fourth visit's dispatch allocates it and builds the
+// head's block, the only block the run builds. The stepping engine
+// allocates its decode table at the first refetch, which fills a slot.
+func TestCacheTripPoints(t *testing.T) {
+	code := build(
+		isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: 4},
+		isa.Instr{Op: isa.SUBI, Rd: isa.ECX, Imm: 1},
+		isa.Instr{Op: isa.JNZ, Imm: ^uint32(10)}, // back 11 to head
+		isa.Instr{Op: isa.HLT},
+	)
+	for _, tier := range []struct {
+		name         string
+		block, trace bool
+	}{{"block", true, false}, {"trace", true, true}} {
+		withTiers(tier.block, tier.trace, func() {
+			c := newMachine(t, code)
+			bs := &BlockStats{}
+			c.BlockStats = bs
+			if st := c.Run(1 + 2*3); st != StepLimit {
+				t.Fatalf("%s: state %v fault %v", tier.name, st, c.Fault())
+			}
+			if _, bc := c.CacheFootprint(); bc || bs.Builds != 0 {
+				t.Fatalf("%s: after three visits of the head: block table %v, %d builds, want none",
+					tier.name, bc, bs.Builds)
+			}
+			// One step of budget: the head's fourth dispatch.
+			c.state = Running
+			if st := c.Run(1); st != StepLimit {
+				t.Fatalf("%s: state %v fault %v", tier.name, st, c.Fault())
+			}
+			if _, bc := c.CacheFootprint(); !bc || bs.Builds != 1 || bs.Dispatches != 1 {
+				t.Fatalf("%s: the fourth visit's dispatch left block table %v, %d builds, %d dispatches, want the table and one of each",
+					tier.name, bc, bs.Builds, bs.Dispatches)
+			}
+			c.state = Running
+			if st := c.Run(100); st != Halted {
+				t.Fatalf("%s: state %v fault %v", tier.name, st, c.Fault())
+			}
+			if bs.Builds != 1 || len(c.bcache) != bcacheSize {
+				t.Fatalf("%s: %d builds and %d block slots, want 1 and %d", tier.name, bs.Builds, len(c.bcache), bcacheSize)
+			}
+		})
+	}
+	withTiers(false, false, func() {
+		c := newMachine(t, code)
+		ds := &DecodeStats{}
+		c.DecodeStats = ds
+		if st := c.Run(3); st != StepLimit {
+			t.Fatalf("step: state %v fault %v", st, c.Fault())
+		}
+		if dc, _ := c.CacheFootprint(); dc {
+			t.Fatal("step: decode table allocated before any refetch")
+		}
+		// The head's second fetch allocates the table and fills its slot;
+		// its third hits.
+		c.state = Running
+		if st := c.Run(1); st != StepLimit {
+			t.Fatalf("step: state %v fault %v", st, c.Fault())
+		}
+		if dc, bc := c.CacheFootprint(); !dc || bc || ds.Hits != 0 {
+			t.Fatalf("step: first refetch left decode table %v, block table %v, %d hits, want the decode table only and no hit",
+				dc, bc, ds.Hits)
+		}
+		c.state = Running
+		if st := c.Run(2); st != StepLimit || ds.Hits != 1 {
+			t.Fatalf("step: state %v, %d hits, want the head's third fetch to hit", st, ds.Hits)
+		}
+	})
 }
 
 // TestWideLoopOutgrowsCaches: a loop over more code than the decode
@@ -116,6 +196,9 @@ func TestWideLoopOutgrowsCaches(t *testing.T) {
 				t.Fatalf("%s: eax = %d, want %d", tier.name, c.Reg[isa.EAX], links*50)
 			}
 			if tier.block {
+				if len(c.bcache) != bcacheSize {
+					t.Errorf("%s: %d block slots, want %d", tier.name, len(c.bcache), bcacheSize)
+				}
 				return
 			}
 			if got := c.DecodeStats.Hits + c.DecodeStats.Misses; got != c.Steps {

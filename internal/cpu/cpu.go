@@ -187,22 +187,33 @@ const (
 )
 
 // Pre-cache warm-up probe geometry. The decode and block caches cost
-// allocation and zeroing — worth it the moment any code re-executes,
-// pure overhead for a process that runs front to back once
-// (kernel.Load-per-execution harnesses, wild one-shot fuzz inputs; see
+// allocation and zeroing — worth it once code re-executes enough to use
+// them, pure overhead for a process that runs front to back once or
+// repeats a few instructions a few times (kernel.Load-per-execution
+// harnesses, reseeded attack trials, wild one-shot fuzz inputs; see
 // BenchmarkFullReload). Until an engine's cache exists, each of its
 // instructions (a stepping fetch) or dispatches (a block-tier pc)
-// probes a tiny direct-mapped table of recently seen addresses; the
-// first recurring address — the earliest proof of re-execution, the
-// same signal the block engine's hotness gate keys on — trips
-// allocation of that engine's cache only: the decode table for the
-// stepping engine, the block table for the block tiers. A cold CPU pays
-// one array store per probe and nothing else; collisions merely delay
-// the trip (never prevent correctness, since the caches are
-// semantically transparent).
+// counts a visit in a tiny direct-mapped table of recently seen
+// addresses, and the visit that would first use the cache trips its
+// allocation: the first refetch (warmDecodeVisit) allocates the
+// stepping engine's decode table, whose fill it is; the visit that
+// builds a pc's first block (warmBlockVisit) allocates the block tiers'
+// table in the same dispatch. A cold CPU pays one array store per probe
+// and nothing else; collisions merely delay the trip (never prevent
+// correctness, since the caches are semantically transparent).
 const (
 	warmBits = 7
 	warmSize = 1 << warmBits
+	warmMask = warmSize - 1
+	// warmDecodeVisit: the first refetch of an address fills its decode
+	// slot, so it allocates the decode table.
+	warmDecodeVisit = 2
+	// warmBlockVisit is the visit of a pc on which the block tiers build
+	// its first block: before the probe counted visits, the probe took
+	// two of them (record, then the trip that allocated the table) and
+	// the slot's hotness gate blockHeat more, so hot code forms its first
+	// block on the same visit it always did.
+	warmBlockVisit = 2 + blockHeat
 )
 
 // dcEntry is one decode-cache slot. An entry is valid for address a iff
@@ -289,17 +300,21 @@ type CPU struct {
 	// allocated when Step's fetch trips the warm-up probe (a refetched
 	// address — see warmTags).
 	dcache []dcEntry
-	// bcache is the basic-block cache, allocated when the block
-	// dispatcher trips the warm-up probe (a recurring pc).
+	// bcache is the basic-block cache, allocated by the dispatch that
+	// builds the first block (a pc's warmBlockVisit-th visit — see
+	// warmTags).
 	bcache []bcEntry
 	// tcache is the trace (superblock) cache, allocated on the first
 	// successful trace formation; rec is the armed trace recorder
 	// (trace.go).
 	tcache []tcEntry
 	rec    traceRec
-	// warmTags is the pre-cache hotness probe: a direct-mapped table of
-	// recently seen instruction addresses, consulted by fetch while
-	// dcache is nil and by blockFor while bcache is nil.
+	// warmTags is the pre-cache hotness probe: a direct-mapped table,
+	// indexed by pc&warmMask, of recently seen instruction addresses and
+	// their visit counts. A slot holds pc&^warmMask | visits, so the
+	// count costs no space (it never exceeds warmBlockVisit+1: each
+	// engine stops probing at its trip). Consulted by fetch while dcache
+	// is nil and by blockFor while bcache is nil.
 	warmTags [warmSize]uint32
 	// cacheMem remembers which Memory the caches were filled against;
 	// swapping c.Mem drops both caches (their page stamps point into the
@@ -514,7 +529,8 @@ func (c *CPU) pop() (uint32, bool) {
 }
 
 // fetch returns the decoded instruction at IP for Step, consulting the
-// decode cache; the block tiers decode through their blocks and, for a
+// decode cache once an address's second fetch (warmDecodeVisit) has
+// allocated it; the block tiers decode through their blocks and, for a
 // pc they step, through fetchSlow. A hit requires the entry's page write
 // stamps to be current, so any event that could have changed the bytes
 // at IP since the fill forces a fresh fetch — the cache can never serve
@@ -522,7 +538,7 @@ func (c *CPU) pop() (uint32, bool) {
 // fetches.
 func (c *CPU) fetch() (isa.Instr, bool) {
 	if c.dcache == nil {
-		if !c.warm(c.IP) {
+		if c.warm(c.IP) < warmDecodeVisit {
 			if c.DecodeStats != nil {
 				c.DecodeStats.Misses++
 			}
@@ -552,23 +568,25 @@ func (c *CPU) fetch() (isa.Instr, bool) {
 	return in, ok
 }
 
-// warm probes the pre-cache hotness table with pc: a hit — this address
-// was seen before — is the proof of re-execution that makes cache
-// allocation worth paying. A miss records the address.
-func (c *CPU) warm(pc uint32) bool {
-	e := &c.warmTags[pc&(warmSize-1)]
-	if *e == pc {
-		return true
+// warm counts a visit of pc in the pre-cache hotness table and returns
+// the visits it holds for pc, this one included: the proof of
+// re-execution that makes cache allocation worth paying. A pc that
+// finds its slot taken by another address claims it with one visit.
+func (c *CPU) warm(pc uint32) uint32 {
+	e := &c.warmTags[pc&warmMask]
+	if *e&^warmMask != pc&^warmMask {
+		*e = pc &^ warmMask
 	}
-	*e = pc
-	return false
+	*e++
+	return *e & warmMask
 }
 
 // CacheFootprint reports whether the decoded-instruction and basic-block
 // caches have been allocated — the observable the lazy-allocation guard
 // (bench_test.go's full-reload benchmark) pins: a process that never
-// re-executes an address must never pay for either cache, and one that
-// does pays only for the cache of the engine that ran it.
+// re-executes an address must never pay for either cache, a block-tier
+// process that builds no block pays for none, and any other pays only
+// for the cache of the engine that ran it.
 func (c *CPU) CacheFootprint() (decodeCache, blockCache bool) {
 	return c.dcache != nil, c.bcache != nil
 }

@@ -276,14 +276,15 @@ var (
 	fuzzSeedSMC = []byte{62, 128, 100,
 		73, 1, 16, 1, 3, 1, 90, 0, 8, 90, 0, 26, 1, 4, 1, 8, 6, 0}
 	// A sequential transfer into the guard in the middle of a block:
-	// call f; call f; jmp s; f: addi eax, 1; ret; s: five nops; addi
-	// ebx, 1 (the guard, picked by the last byte); nop. The mid-run
-	// restore comes after the first nop of s, so the counted run
+	// four calls of f; jmp s; f: addi eax, 1; ret; s: five nops; addi
+	// ebx, 1 (the guard, picked by the last byte); nop. The fourth call
+	// is f's fourth visit, which allocates the block table. The mid-run
+	// restore comes after the fourth nop of s, so the counted run
 	// enters s's block on its second visit: built, refused by the
 	// guard's compiler, and faulting as it runs checked.
-	fuzzSeedGuard = []byte{62, 128, 1,
-		9, 3, 0, 9, 3, 0, 8, 5, 0, 1, 0, 1, 11, 0, 0,
-		35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 1, 3, 1, 35, 0, 10}
+	fuzzSeedGuard = []byte{62, 128, 2,
+		9, 5, 0, 9, 5, 0, 9, 5, 0, 9, 5, 0, 8, 7, 0, 1, 0, 1, 11, 0, 0,
+		35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 1, 3, 1, 35, 0, 12}
 )
 
 // FuzzEngineDifferential runs generated loops (genLoop) on the step,

@@ -76,12 +76,40 @@ func TestTraceFormation(t *testing.T) {
 // and the machine side-exits with fully consistent state.
 //
 // The recorder arms at the first block whose dispatch count crosses
-// traceHot, so a loop trace is a *rotation* of the cycle — for a 3-block
-// loop with the conditional exit on the last block, any rotation except
-// the one entered at b0 leaves the conditional mid-trace, where its
-// eventual fall-through must trip the next member's entry guard.
+// traceHot, so a loop trace is a *rotation* of the cycle. The loop's
+// exit branch ends the middle one of its three blocks:
+//
+//	b0:  addi esi, 1
+//	     jmp b1
+//	b1:  cmpi esi, 400
+//	     jz out
+//	b2:  addi edi, 1
+//	     jmp b0
+//	out: hlt
+//
+// b0 is built first, at the fourth visit of its pc, so the trace is
+// entered at b0 and the exit branch sits mid-trace, where its eventual
+// taken path must trip b2's entry guard.
 func TestTraceSideExit(t *testing.T) {
-	_, st := runChain(t, 3, 400)
+	const iters = 400
+	var code []byte
+	add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
+	add(isa.Instr{Op: isa.ADDI, Rd: isa.ESI, Imm: 1})     // 6 bytes
+	add(isa.Instr{Op: isa.JMP, Imm: 0})                   // 5 bytes, falls through
+	add(isa.Instr{Op: isa.CMPI, Rd: isa.ESI, Imm: iters}) // 6 bytes
+	add(isa.Instr{Op: isa.JZ, Imm: 11})                   // 5 bytes, over b2 to out
+	add(isa.Instr{Op: isa.ADDI, Rd: isa.EDI, Imm: 1})     // 6 bytes
+	add(isa.Instr{Op: isa.JMP, Imm: ^uint32(32)})         // 5 bytes, back 33 to b0
+	add(isa.Instr{Op: isa.HLT})
+	c := newMachine(t, code)
+	st := &TraceStats{}
+	c.TraceStats = st
+	if got := c.Run(1 << 30); got != Halted {
+		t.Fatalf("state %v, fault %v", got, c.Fault())
+	}
+	if c.Reg[isa.ESI] != iters || c.Reg[isa.EDI] != iters-1 {
+		t.Fatalf("esi/edi = %d/%d, want %d/%d", c.Reg[isa.ESI], c.Reg[isa.EDI], iters, iters-1)
+	}
 	if st.Formed == 0 || st.SideExits == 0 {
 		t.Fatalf("want a formed trace and a mid-chain side exit, got %+v", *st)
 	}

@@ -1,6 +1,7 @@
-// Package cli is the shared command-line plumbing of the harness-driven
-// binaries. cmd/secsim and cmd/attacklab both sweep registered scenarios
-// across the trial engine; before this package each re-declared the
+// Package cli is the shared command-line plumbing of the binaries. Every
+// tool parses its flags through Parse. cmd/secsim and cmd/attacklab both
+// sweep registered scenarios across the trial engine; before this
+// package each re-declared the
 // -trials/-jobs/-seed/-json/-scenarios/-group flags and re-implemented
 // group selection, listing, and report output, and the two had already
 // drifted (different unknown-group handling, different listings). Both
@@ -23,6 +24,29 @@ import (
 	"softsec/internal/layout"
 	"softsec/internal/runlog"
 )
+
+// Parse parses args into fs, which the tools pass as flag.CommandLine,
+// and keeps the rule for bad input: a flag fs does not define, a value
+// that does not parse or a missing value exits 2 with one line naming
+// the flag ("TOOL: flag provided but not defined: -bogus"), not the
+// usage. -h and -help print the usage and exit 0.
+func Parse(fs *flag.FlagSet, args []string) {
+	out, usage := fs.Output(), fs.Usage
+	fs.Init(fs.Name(), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Usage = func() {}
+	err := fs.Parse(args)
+	fs.SetOutput(out)
+	fs.Usage = usage
+	switch {
+	case err == flag.ErrHelp:
+		fs.Usage()
+		os.Exit(0)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(fs.Name()), err)
+		os.Exit(2)
+	}
+}
 
 // Sweep holds the flag values shared by every harness-driven binary.
 type Sweep struct {
@@ -91,7 +115,8 @@ func (s *Sweep) Register(fs *flag.FlagSet, seedDefault int64) {
 // one line before anything is printed or run: -trials below 1, an
 // unknown -progress mode or layout profile, a -metrics, -guestprof or
 // -evtrace file whose directory does not exist, or a -runlog ledger the
-// run's record could not be appended to.
+// run's record could not be appended to (runlog.Store.Appendable: one
+// whose index does not parse or that lists a record of an older schema).
 // Then, the values being good, it refuses every shared flag the
 // -scenarios listing would ignore: all but -group. Both sweep binaries
 // call it right after flag parsing and exit 2 on error.
@@ -116,7 +141,7 @@ func (s *Sweep) Check() error {
 		return err
 	}
 	if s.RunLog != "" {
-		if _, err := runlog.Open(s.RunLog).Entries(); err != nil {
+		if err := runlog.Open(s.RunLog).Appendable(); err != nil {
 			return err
 		}
 	}

@@ -189,11 +189,8 @@ func (r *Record) Marshal() ([]byte, error) {
 // read first, so a record of another format is refused by its version
 // rather than by the first field it no longer has.
 func Load(data []byte) (*Record, error) {
-	var head struct {
-		Schema int `json:"schema"`
-	}
-	if json.Unmarshal(data, &head) == nil && head.Schema != Schema {
-		return nil, fmt.Errorf("runlog: record: schema %d (want %d)", head.Schema, Schema)
+	if err := checkSchema(data); err != nil {
+		return nil, err
 	}
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
@@ -202,6 +199,19 @@ func Load(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("runlog: record: %w", err)
 	}
 	return &r, validate(&r)
+}
+
+// checkSchema refuses a serialized record whose schema head is not
+// Schema. A head that does not parse is left to the caller's strict
+// decode.
+func checkSchema(data []byte) error {
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if json.Unmarshal(data, &head) == nil && head.Schema != Schema {
+		return fmt.Errorf("runlog: record: schema %d (want %d)", head.Schema, Schema)
+	}
+	return nil
 }
 
 func validate(r *Record) error {

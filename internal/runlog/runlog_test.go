@@ -169,6 +169,48 @@ func TestOpenCreatesNothingUntilAppend(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesOlderSchemaLedger: a ledger that lists a record of
+// an older schema takes no further record, since rundiff could not
+// compare across the two. Appendable and Append both refuse it in one
+// line that names the record, and the refused Append writes nothing.
+func TestAppendRefusesOlderSchemaLedger(t *testing.T) {
+	dir := t.TempDir()
+	st := Open(dir)
+	if _, err := st.Append(sweepRecord(1, map[string]int{"success": 10})); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Appendable(); err != nil {
+		t.Fatalf("Appendable on a current ledger: %v", err)
+	}
+	old := `{"schema": 1, "tool": "runlog-record", "id": "x", "config": {"tool": "secsim", "kind": "sweep", "engine": "step"}, "report": {}}`
+	if err := os.WriteFile(filepath.Join(dir, "records", "000002.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := os.OpenFile(filepath.Join(dir, "ledger.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lf.WriteString(`{"seq": 2, "id": "x", "tool": "secsim", "label": "sweep", "file": "records/000002.json", "unix_ms": 1}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join("records", "000002.json") + ": runlog: record: schema 1 (want 2)"
+	if err := st.Appendable(); err == nil || err.Error() != want {
+		t.Fatalf("Appendable: err = %v, want %q", err, want)
+	}
+	if _, err := st.Append(sweepRecord(2, map[string]int{"success": 10})); err == nil || err.Error() != want {
+		t.Fatalf("Append: err = %v, want %q", err, want)
+	}
+	if entries, err := st.Entries(); err != nil || len(entries) != 2 {
+		t.Fatalf("after the refused append: %d entries, err %v, want 2", len(entries), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "records", "000003.json")); !os.IsNotExist(err) {
+		t.Fatalf("the refused append wrote a record (stat: %v)", err)
+	}
+}
+
 // TestConcurrentAppends drives parallel appends through one store and a
 // second store handle on the same directory — the cross-goroutine and
 // cross-process paths CI runs under -race.

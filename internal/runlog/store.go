@@ -69,7 +69,7 @@ func (s *Store) Append(r *Record) (LedgerEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	entries, err := s.entriesLocked()
+	entries, err := s.appendableLocked()
 	if err != nil {
 		return LedgerEntry{}, err
 	}
@@ -126,6 +126,38 @@ func (s *Store) Append(r *Record) (LedgerEntry, error) {
 		return LedgerEntry{}, err
 	}
 	return e, lf.Close()
+}
+
+// Appendable returns, in one line, why the ledger takes no further
+// record, or nil: a ledger line that does not parse, or a listed record
+// that cannot be read or holds another schema. A record appended after
+// an older schema's records would leave a ledger whose runs rundiff
+// cannot compare, so Append refuses it too; the sweep tools check before
+// the sweep runs.
+func (s *Store) Appendable() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.appendableLocked()
+	return err
+}
+
+// appendableLocked returns the ledger's entries once Appendable's checks
+// pass.
+func (s *Store) appendableLocked() ([]LedgerEntry, error) {
+	entries, err := s.entriesLocked()
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(s.dir, e.File))
+		if err == nil {
+			err = checkSchema(data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.File, err)
+		}
+	}
+	return entries, nil
 }
 
 // Entries returns the ledger, oldest first.

@@ -254,6 +254,30 @@ func TestNoBleedAcrossTrials(t *testing.T) {
 	}
 }
 
+// TestReseededTrialsBuildNoBlocks: a reseeded attack trial is a fresh
+// kernel.Load that retires a few dozen instructions, and none of its
+// pcs is visited often enough to form a block, so the mc-aslr and
+// mc-canary groups publish no cpu.block.builds: no trial of theirs
+// allocates a block table.
+func TestReseededTrialsBuildNoBlocks(t *testing.T) {
+	reg := harness.NewRegistry()
+	if err := core.RegisterScenariosFor(reg, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, group := range []string{"mc-aslr", "mc-canary"} {
+		rep := harness.Run(reg.Group(group), harness.Options{
+			Trials: 4, Jobs: 1, BaseSeed: 1, Telemetry: &telemetry.Spec{},
+		})
+		c := rep.Telemetry.File().Counters
+		if c["cpu.steps.retired"] == 0 {
+			t.Fatalf("%s: no steps retired counted", group)
+		}
+		if n := c["cpu.block.builds"]; n != 0 {
+			t.Errorf("%s: cpu.block.builds %d, want none", group, n)
+		}
+	}
+}
+
 // TestFuzzCampaignTelemetry: campaign collection reconciles — execs
 // counted equals the configured budget, every exec classified, and the
 // accumulated retired-step total survives the snapshot-restore rollback
