@@ -210,8 +210,43 @@ func BenchmarkOverheadBytecodeVM(b *testing.B) {
 	b.ReportMetric(float64(steps), "bytecodes/op")
 }
 
+// nativeSumSource is BenchmarkOverheadBytecodeVM's sum method in MinC:
+// the native row the bytecode interpretation penalty compares against.
+const nativeSumSource = `
+int sum(int n) {
+	int i;
+	int acc = 0;
+	for (i = 0; i < n; i++) {
+		acc = acc + i;
+	}
+	return acc;
+}
+int main() {
+	return sum(500);
+}`
+
 func BenchmarkOverheadNativeSum(b *testing.B) {
-	runOverhead(b, minc.Options{}, kernel.Config{DEP: true})
+	img, err := minc.Compile("sum", nativeSumSource, minc.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ld, err := kernel.Link(kernel.Libc(), img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var steps uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := kernel.Load(ld, kernel.Config{DEP: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := p.Run(); st != cpu.Exited || p.CPU.ExitCode() != 124750 {
+			b.Fatalf("state %v exit %d fault %v, want exit 124750", st, p.CPU.ExitCode(), p.CPU.Fault())
+		}
+		steps = p.CPU.Steps
+	}
+	b.ReportMetric(float64(steps), "instrs/op")
 }
 
 // --- T4/F3: the cost of a protected-module entry ------------------------
@@ -354,7 +389,7 @@ func BenchmarkT1Matrix(b *testing.B) {
 	attacks := core.Attacks()
 	configs := core.StandardConfigs()
 	for i := 0; i < b.N; i++ {
-		m := core.RunMatrix(attacks, configs)
+		m := core.RunMatrixJobs(attacks, configs, 1)
 		if len(m.Attacks) != len(attacks) {
 			b.Fatal("short matrix")
 		}
@@ -641,7 +676,7 @@ func BenchmarkFuzzExecsPerSecCFI(b *testing.B) {
 
 func BenchmarkT3IsolationMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunIsolationMatrix(); err != nil {
+		if _, err := core.RunIsolationMatrixJobs(1); err != nil {
 			b.Fatal(err)
 		}
 	}

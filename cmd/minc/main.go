@@ -9,9 +9,10 @@
 //	minc -analyze [-paranoid] file.c
 //
 // Exit status: 2 on bad input (usage, an unreadable file, a source that
-// does not compile, link or load), 1 when -analyze reports findings,
-// the guest's exit code under -run (128 when it stops without exiting),
-// 0 otherwise.
+// does not compile, link or load), 1 when -analyze reports findings, 128
+// when a -run guest stops without exiting, 0 otherwise. A -run guest's
+// own exit code is not the status, so it cannot pose as bad input; the
+// "[exit N, M instructions]" line on stderr reports it.
 package main
 
 import (
@@ -111,7 +112,6 @@ func main() {
 	switch st {
 	case cpu.Exited:
 		fmt.Fprintf(os.Stderr, "\n[exit %d, %d instructions]\n", p.CPU.ExitCode(), p.CPU.Steps)
-		os.Exit(int(p.CPU.ExitCode()) & 0x7F)
 	default:
 		fmt.Fprintf(os.Stderr, "\n[%v: %v]\n", st, p.CPU.Fault())
 		os.Exit(128)

@@ -90,10 +90,21 @@ void main() {
 		}
 	})
 	t.Run("minc -run", func(t *testing.T) {
-		// The guest's exit status propagates: main leaves write's
-		// return value (5 bytes) in EAX.
-		out := runTool(t, bin, "minc", 5, "-run", "-in", "hello", cFile)
-		if !strings.Contains(out, "hello") {
+		// A guest that exits is a clean run whatever its code; the
+		// trailer reports the code: main leaves write's return value
+		// (5 bytes) in EAX.
+		out := runTool(t, bin, "minc", 0, "-run", "-in", "hello", cFile)
+		if !strings.Contains(out, "hello") || !strings.Contains(out, "[exit 5, ") {
+			t.Fatalf("run output:\n%s", out)
+		}
+	})
+	// A guest that returns 2 must not exit like bad input does.
+	twoC := filepath.Join(work, "two.c")
+	if err := os.WriteFile(twoC, []byte("int main() { return 2; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("minc -run guest returning 2 exits 0", func(t *testing.T) {
+		if out := runTool(t, bin, "minc", 0, "-run", twoC); !strings.Contains(out, "[exit 2, ") {
 			t.Fatalf("run output:\n%s", out)
 		}
 	})

@@ -298,20 +298,6 @@ func TestCommentsAndLabelsOnSameLine(t *testing.T) {
 	}
 }
 
-func TestPatch32(t *testing.T) {
-	img := NewImage("t")
-	img.Text = []byte{0, 0, 0, 0, 0}
-	if err := img.Patch32(SecText, 1, 0xAABBCCDD); err != nil {
-		t.Fatal(err)
-	}
-	if img.Text[1] != 0xDD || img.Text[4] != 0xAA {
-		t.Fatalf("patch: % x", img.Text)
-	}
-	if err := img.Patch32(SecText, 2, 0); err == nil {
-		t.Fatal("out of range patch accepted")
-	}
-}
-
 func TestPushSymbol(t *testing.T) {
 	img, err := Assemble("t.s", `
 		.data

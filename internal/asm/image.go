@@ -79,22 +79,3 @@ func (img *Image) AddSymbol(s Symbol) error {
 	img.Symbols[s.Name] = &cp
 	return nil
 }
-
-// Patch32 overwrites the little-endian word at off in the given section.
-func (img *Image) Patch32(sec Section, off uint32, v uint32) error {
-	var b []byte
-	switch sec {
-	case SecText:
-		b = img.Text
-	case SecData:
-		b = img.Data
-	}
-	if int(off)+4 > len(b) {
-		return fmt.Errorf("asm: patch at %v+0x%x out of range", sec, off)
-	}
-	b[off] = byte(v)
-	b[off+1] = byte(v >> 8)
-	b[off+2] = byte(v >> 16)
-	b[off+3] = byte(v >> 24)
-	return nil
-}

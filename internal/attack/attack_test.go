@@ -133,7 +133,7 @@ func TestSmashSpecLayout(t *testing.T) {
 	if b[0] != 'A' || b[15] != 'A' {
 		t.Fatal("filler wrong")
 	}
-	if le.Uint32(b[f.EBPOffFrom(0):]) != 0x42424242 {
+	if le.Uint32(b[f.RetOffFrom(0)-4:]) != 0x42424242 { // saved EBP, just below
 		t.Fatal("saved EBP slot wrong")
 	}
 	if le.Uint32(b[f.RetOffFrom(0):]) != 0x08048123 {
@@ -372,8 +372,8 @@ __module_text_end:
 func TestROPChainBuilder(t *testing.T) {
 	var c ROPChain
 	c.CallCdecl(0x100, 0x200, 1, 2, 3, 4).FinalCall(0x300, 9)
-	if c.Len() != 9 {
-		t.Fatalf("len %d", c.Len())
+	if len(c.words) != 9 {
+		t.Fatalf("len %d", len(c.words))
 	}
 	if c.First() != 0x100 {
 		t.Fatalf("first 0x%x", c.First())

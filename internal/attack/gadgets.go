@@ -85,20 +85,10 @@ func FindGadgets(text []byte, base uint32, maxInstrs int) []Gadget {
 	return out
 }
 
-// decodeExact decodes b fully into instructions with the last one being
-// RET; any decode error or spillover rejects the candidate.
+// decodeExact decodes b fully into instructions whose last one is RET;
+// any decode error, spillover, or interior control flow (which would not
+// fall through the gadget) rejects the candidate.
 func decodeExact(b []byte, base uint32) ([]isa.Instr, bool) {
-	return decodeExactTerm(b, base, isRet)
-}
-
-func isRet(op isa.Op) bool { return op == isa.RET }
-
-// decodeExactTerm decodes b fully into instructions whose last one
-// satisfies isTerm; any decode error, spillover, or interior control
-// flow (which would not fall through the gadget) rejects the candidate.
-// Shared by the RET (ROP) and indirect-branch (JOP) scans so the
-// straight-line and exact-fit rules cannot drift between them.
-func decodeExactTerm(b []byte, base uint32, isTerm func(isa.Op) bool) ([]isa.Instr, bool) {
 	var out []isa.Instr
 	off := 0
 	for off < len(b) {
@@ -107,53 +97,16 @@ func decodeExactTerm(b []byte, base uint32, isTerm func(isa.Op) bool) ([]isa.Ins
 			return nil, false
 		}
 		last := off+in.Size == len(b)
-		if isa.IsControlFlow(in.Op) && !(last && isTerm(in.Op)) {
+		if isa.IsControlFlow(in.Op) && !(last && in.Op == isa.RET) {
 			return nil, false
 		}
 		out = append(out, in)
 		off += in.Size
 	}
-	if len(out) == 0 || !isTerm(out[len(out)-1].Op) {
+	if len(out) == 0 || out[len(out)-1].Op != isa.RET {
 		return nil, false
 	}
 	return out, true
-}
-
-// FindJOPGadgets scans executable bytes (loaded at base) for short
-// straight-line sequences ending in an indirect branch (CALLR/JMPR) —
-// the dispatch points a jump-oriented-programming chain hops through
-// when RET-terminated gadgets are policed (by a shadow stack or a CFI
-// return-site check). Like FindGadgets it tries every byte offset before
-// each candidate terminator, so unintended sequences hidden inside
-// immediates count, and the ending instruction itself anchors the scan
-// (CALLR and JMPR encode as two bytes: opcode, then the register
-// nibble).
-func FindJOPGadgets(text []byte, base uint32, maxInstrs int) []Gadget {
-	var out []Gadget
-	seen := make(map[uint32]bool)
-	for r := 0; r+1 < len(text); r++ {
-		in, err := isa.Decode(text[r:], base+uint32(r))
-		if err != nil || !isa.IsIndirectBranch(in.Op) {
-			continue
-		}
-		end := r + in.Size
-		// The terminator alone is a (degenerate) dispatch gadget; longer
-		// candidates grow backwards from it, with the same lookback
-		// bound as the RET scan (bytes before the terminator).
-		for start := r; start >= 0 && r-start <= maxGadgetLookback; start-- {
-			instrs, ok := decodeExactTerm(text[start:end], base+uint32(start), isa.IsIndirectBranch)
-			if !ok || len(instrs) > maxInstrs {
-				continue
-			}
-			addr := base + uint32(start)
-			if seen[addr] {
-				continue
-			}
-			seen[addr] = true
-			out = append(out, Gadget{Addr: addr, Instrs: instrs})
-		}
-	}
-	return out
 }
 
 // FindPopChain returns the address of a gadget popping exactly n registers

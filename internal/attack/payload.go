@@ -167,6 +167,3 @@ func (c *ROPChain) Rest() []byte {
 	}
 	return b
 }
-
-// Len reports the chain length in words.
-func (c *ROPChain) Len() int { return len(c.words) }

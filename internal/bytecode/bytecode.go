@@ -129,20 +129,6 @@ func NewVM(mods ...*Module) *VM {
 	return vm
 }
 
-// Field returns the current value of a module field (test/debug access —
-// architecturally this is the kernel-attacker view).
-func (vm *VM) Field(mod, name string) (uint32, bool) {
-	idx, ok := vm.fieldIdx[mod]
-	if !ok {
-		return 0, false
-	}
-	i, ok := idx[name]
-	if !ok {
-		return 0, false
-	}
-	return vm.FieldStore[i], true
-}
-
 // Scrape is the machine-code attacker one layer below the VM: it scans the
 // raw field store for a value, bypassing every VM check.
 func (vm *VM) Scrape(value uint32) int {

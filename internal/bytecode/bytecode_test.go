@@ -82,7 +82,7 @@ func TestVaultBehaviour(t *testing.T) {
 	if v, _ := vm.Invoke("vault", "get_secret", 1234); v != 0 {
 		t.Fatalf("lockout broken: %d", v)
 	}
-	if tries, _ := vm.Field("vault", "tries_left"); tries != 0 {
+	if tries := vm.FieldStore[vm.fieldIdx["vault"]["tries_left"]]; tries != 0 {
 		t.Fatalf("tries_left %d", tries)
 	}
 }
@@ -139,7 +139,7 @@ func TestVMBlocksPrivateMethodCall(t *testing.T) {
 		t.Fatalf("err %v", err)
 	}
 	// And the lockout counter is intact.
-	if tries, _ := vm.Field("vault", "tries_left"); tries != 3 {
+	if tries := vm.FieldStore[vm.fieldIdx["vault"]["tries_left"]]; tries != 3 {
 		t.Fatalf("tries %d", tries)
 	}
 }
@@ -157,7 +157,7 @@ func TestVMAllowsPublicInterface(t *testing.T) {
 			t.Fatalf("brute force got %d", v)
 		}
 	}
-	if tries, _ := vm.Field("vault", "tries_left"); tries != 0 {
+	if tries := vm.FieldStore[vm.fieldIdx["vault"]["tries_left"]]; tries != 0 {
 		t.Fatalf("tries %d", tries)
 	}
 }

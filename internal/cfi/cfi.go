@@ -92,9 +92,6 @@ type CFG struct {
 	// indirection is the seam a type- or points-to-refined derivation
 	// would slot into.
 	siteTargets map[uint32]map[uint32]bool
-
-	// entryNames names the symbol-derived entries, for diagnostics.
-	entryNames map[uint32]string
 }
 
 // LabelAt returns the label byte for addr (zero outside the text span).
@@ -103,76 +100,6 @@ func (g *CFG) LabelAt(addr uint32) uint8 {
 		return 0
 	}
 	return g.labels[addr-g.TextBase]
-}
-
-// IsEntry reports whether addr is a recovered function entry.
-func (g *CFG) IsEntry(addr uint32) bool { return g.LabelAt(addr)&LabelEntry != 0 }
-
-// IsRetSite reports whether addr is a recovered return site.
-func (g *CFG) IsRetSite(addr uint32) bool { return g.LabelAt(addr)&LabelRetSite != 0 }
-
-// IsAddressTaken reports whether addr is in the address-taken dictionary.
-func (g *CFG) IsAddressTaken(addr uint32) bool { return g.LabelAt(addr)&LabelAddrTaken != 0 }
-
-// EntryName returns the symbol name of a symbol-derived entry, when known.
-func (g *CFG) EntryName(addr uint32) (string, bool) {
-	n, ok := g.entryNames[addr]
-	return n, ok
-}
-
-// IndirectSites returns the addresses of every recovered indirect forward
-// branch (CALLR/JMPR), in address order.
-func (g *CFG) IndirectSites() []uint32 {
-	return g.collect(LabelIndirect)
-}
-
-// Entries returns every recovered function entry, in address order.
-func (g *CFG) Entries() []uint32 {
-	return g.collect(LabelEntry)
-}
-
-// RetSites returns every recovered return site, in address order.
-func (g *CFG) RetSites() []uint32 {
-	return g.collect(LabelRetSite)
-}
-
-// AddressTaken returns the address-taken dictionary, in address order.
-func (g *CFG) AddressTaken() []uint32 {
-	return g.collect(LabelAddrTaken)
-}
-
-func (g *CFG) collect(mask uint8) []uint32 {
-	var out []uint32
-	for off, l := range g.labels {
-		if l&mask != 0 {
-			out = append(out, g.TextBase+uint32(off))
-		}
-	}
-	return out
-}
-
-// Stats summarizes a recovery for logs and tests.
-func (g *CFG) Stats() string {
-	var instr, entries, retSites, indirect, taken int
-	for _, l := range g.labels {
-		if l&LabelInstr != 0 {
-			instr++
-		}
-		if l&LabelEntry != 0 {
-			entries++
-		}
-		if l&LabelRetSite != 0 {
-			retSites++
-		}
-		if l&LabelIndirect != 0 {
-			indirect++
-		}
-		if l&LabelAddrTaken != 0 {
-			taken++
-		}
-	}
-	return fmt.Sprintf("text [%#x,%#x): %d instrs, %d entries (%d address-taken), %d ret-sites, %d indirect sites",
-		g.TextBase, g.TextEnd, instr, entries, taken, retSites, indirect)
 }
 
 // Recover builds the CFG of a loaded process. It must run after
@@ -192,14 +119,12 @@ func Recover(p *kernel.Process) (*CFG, error) {
 		labels:      make([]uint8, end-base),
 		addrTaken:   make(map[uint32]bool),
 		siteTargets: make(map[uint32]map[uint32]bool),
-		entryNames:  make(map[uint32]string),
 	}
 
 	// Entry seed set: the linker's global text symbols.
-	for addr, name := range p.TextEntryPoints() {
+	for addr := range p.TextEntryPoints() {
 		if addr >= base && addr < end {
 			g.labels[addr-base] |= LabelEntry
-			g.entryNames[addr] = name
 		}
 	}
 

@@ -63,39 +63,51 @@ func recoverCFG(t *testing.T, p *kernel.Process) *CFG {
 	return g
 }
 
+// labeled returns every text address whose label has a bit of mask, in
+// address order.
+func labeled(g *CFG, mask uint8) []uint32 {
+	var out []uint32
+	for a := g.TextBase; a < g.TextEnd; a++ {
+		if g.LabelAt(a)&mask != 0 {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func TestRecoverLabels(t *testing.T) {
 	p := loadVictim(t, fnptrVictim, kernel.Config{DEP: true})
 	g := recoverCFG(t, p)
 
 	// Linker symbols become entries.
 	for _, name := range []string{"main", "greet", "spawn_shell", "puts", "read", "_start"} {
-		if !g.IsEntry(sym(t, p, name)) {
+		if g.LabelAt(sym(t, p, name))&LabelEntry == 0 {
 			t.Errorf("%s is not labeled as an entry", name)
 		}
 	}
 	// The victim's indirect call is discovered.
-	if len(g.IndirectSites()) == 0 {
-		t.Fatalf("no indirect-branch sites recovered: %s", g.Stats())
+	if len(labeled(g, LabelIndirect)) == 0 {
+		t.Fatal("no indirect-branch sites recovered")
 	}
 	// Every byte after a direct CALL in _start is a return site: _start
 	// does `call main` and falls through to the exit sequence.
 	found := false
-	for _, rs := range g.RetSites() {
+	for _, rs := range labeled(g, LabelRetSite) {
 		if g.LabelAt(rs)&LabelInstr != 0 {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("no return site coincides with an instruction start: %s", g.Stats())
+		t.Fatal("no return site coincides with an instruction start")
 	}
 
 	// greet's address is materialized by `handler = greet` (a text
 	// immediate): address-taken. spawn_shell's address appears nowhere.
-	if !g.IsAddressTaken(sym(t, p, "greet")) {
+	if g.LabelAt(sym(t, p, "greet"))&LabelAddrTaken == 0 {
 		t.Errorf("greet should be address-taken (text immediate scrape)")
 	}
-	if g.IsAddressTaken(sym(t, p, "spawn_shell")) {
+	if g.LabelAt(sym(t, p, "spawn_shell"))&LabelAddrTaken != 0 {
 		t.Errorf("spawn_shell must not be address-taken")
 	}
 }
@@ -116,7 +128,7 @@ func TestRecoverScrapesGlobals(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := recoverCFG(t, p)
-	if !g.IsAddressTaken(spawn) {
+	if g.LabelAt(spawn)&LabelAddrTaken == 0 {
 		t.Fatalf("global scrape missed a planted function pointer")
 	}
 }
@@ -124,7 +136,7 @@ func TestRecoverScrapesGlobals(t *testing.T) {
 func TestCoarseVsFineTargets(t *testing.T) {
 	p := loadVictim(t, fnptrVictim, kernel.Config{DEP: true})
 	g := recoverCFG(t, p)
-	site := g.IndirectSites()[0]
+	site := labeled(g, LabelIndirect)[0]
 	greet := sym(t, p, "greet")
 	spawn := sym(t, p, "spawn_shell")
 
@@ -197,7 +209,7 @@ main:
 		}
 	}
 	if jmpSite == 0 || callSite == 0 || retSite == 0 {
-		t.Fatalf("missing sites (jmp=%#x call=%#x ret=%#x): %s", jmpSite, callSite, retSite, g.Stats())
+		t.Fatalf("missing sites (jmp=%#x call=%#x ret=%#x)", jmpSite, callSite, retSite)
 	}
 	pl := NewPolicy(g, Coarse)
 	_, _, exec := pl.CompileChecks()
@@ -225,12 +237,10 @@ func TestCompiledCheckerAgrees(t *testing.T) {
 		if read != nil || write != nil {
 			t.Fatalf("CFI must not compile data checkers")
 		}
-		froms := append(append([]uint32{}, g.IndirectSites()...), g.TextBase, g.TextEnd-1, 0, 0xFFFFFFF0)
+		froms := append(labeled(g, LabelIndirect), g.TextBase, g.TextEnd-1, 0, 0xFFFFFFF0)
 		// Include RET sites as sources too.
-		for _, a := range g.collect(LabelRet) {
-			froms = append(froms, a)
-		}
-		tos := append(append([]uint32{}, g.Entries()...), g.RetSites()...)
+		froms = append(froms, labeled(g, LabelRet)...)
+		tos := append(labeled(g, LabelEntry), labeled(g, LabelRetSite)...)
 		tos = append(tos, g.TextBase+1, 0xBFFF0000, 0)
 		for _, f := range froms {
 			for _, to := range tos {

@@ -68,12 +68,6 @@ func NewPolicy(cfg *CFG, prec Precision) *Policy {
 	return &Policy{cfg: cfg, prec: prec}
 }
 
-// CFG returns the recovered control-flow metadata the policy enforces.
-func (pl *Policy) CFG() *CFG { return pl.cfg }
-
-// Precision returns the enforcement precision.
-func (pl *Policy) Precision() Precision { return pl.prec }
-
 // CheckRead implements cpu.Policy: CFI never restricts data reads.
 func (pl *Policy) CheckRead(ip, addr uint32, size int) error { return nil }
 

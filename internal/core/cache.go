@@ -105,16 +105,3 @@ func (v *victim) reconFor(m Mitigations) (Recon, error) {
 	r.Canary = kernel.CanaryValue(m.CanarySeed)
 	return r, nil
 }
-
-// ReconNominal builds attacker knowledge by loading the attacker's own
-// copy of the victim at the nominal layout and reading symbols — exactly
-// what an attacker with the binary does offline. The probe is
-// seed-independent, so it runs once per victim entry, and every other
-// call is one counted hit.
-func ReconNominal(s Scenario, m Mitigations) (Recon, error) {
-	v, err := lookupVictim(s.Source, m)
-	if err != nil {
-		return Recon{}, err
-	}
-	return v.reconFor(m)
-}

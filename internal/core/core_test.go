@@ -92,8 +92,12 @@ func TestClassifyDetectedVariants(t *testing.T) {
 }
 
 func TestReconFindsEverything(t *testing.T) {
-	s := Scenario{Source: victimEcho}
-	r, err := ReconNominal(s, Mitigations{DEP: true})
+	m := Mitigations{DEP: true}
+	v, err := lookupVictim(victimEcho, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := v.reconFor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +270,11 @@ func TestMatrixRunnerAndRender(t *testing.T) {
 	// rendering.
 	attacks := Attacks()[:2]
 	configs := []Mitigations{{}, {DEP: true}}
-	m := RunMatrix(attacks, configs)
+	m := RunMatrixJobs(attacks, configs, 1)
 	if len(m.Attacks) != 2 || len(m.Mitigations) != 2 {
 		t.Fatalf("matrix shape %v x %v", m.Attacks, m.Mitigations)
 	}
-	c, ok := m.Get("stack-smash-inject", "none")
+	c, ok := m.Cells["stack-smash-inject"]["none"]
 	if !ok || c.Err != nil {
 		t.Fatalf("cell: %+v", c)
 	}

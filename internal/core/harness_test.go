@@ -31,7 +31,7 @@ func TestRegisterScenariosCatalog(t *testing.T) {
 	if _, ok := r.Lookup("t1/rop-chain/canary+dep+aslr"); !ok {
 		t.Fatal("expected cell name missing — naming scheme changed?")
 	}
-	if got, want := len(r.Group("fuzz")), len(fuzz.Scenarios()); got != want || got == 0 {
+	if got, want := len(r.Group("fuzz")), len(fuzz.ScenariosFor("")); got != want || got == 0 {
 		t.Fatalf("fuzz cells %d, want %d (all campaign cells registered)", got, want)
 	}
 	if _, ok := r.Lookup("fuzz/echo/none"); !ok {

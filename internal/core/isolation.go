@@ -97,11 +97,6 @@ func IsolationScenarios() []harness.Scenario {
 	return out
 }
 
-// RunIsolationMatrix executes the full T3 grid serially.
-func RunIsolationMatrix() ([]IsolationResult, error) {
-	return RunIsolationMatrixJobs(1)
-}
-
 // RunIsolationMatrixJobs executes the T3 grid across a worker pool.
 func RunIsolationMatrixJobs(jobs int) ([]IsolationResult, error) {
 	scenarios := IsolationScenarios()

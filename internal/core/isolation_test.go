@@ -19,7 +19,7 @@ var expectT3 = map[string]map[string]bool{ // mechanism -> attacker -> stolen?
 }
 
 func TestIsolationMatrix(t *testing.T) {
-	rows, err := RunIsolationMatrix()
+	rows, err := RunIsolationMatrixJobs(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,11 +117,6 @@ type Matrix struct {
 	Cells       map[string]map[string]Cell // attack -> mitigation -> cell
 }
 
-// RunMatrix executes every attack under every configuration, serially.
-func RunMatrix(attacks []AttackSpec, configs []Mitigations) *Matrix {
-	return RunMatrixJobs(attacks, configs, 1)
-}
-
 // RunMatrixJobs executes the matrix with the configured seeds (one trial
 // per cell), spreading cells across a harness worker pool of the given
 // width. Results are independent of jobs.
@@ -147,16 +142,6 @@ func RunMatrixJobs(attacks []AttackSpec, configs []Mitigations, jobs int) *Matri
 		m.Cells[cell.Attack][cell.Mitigation] = cell
 	}
 	return m
-}
-
-// Get returns the cell for (attack, mitigation label).
-func (m *Matrix) Get(attack, mitigation string) (Cell, bool) {
-	row, ok := m.Cells[attack]
-	if !ok {
-		return Cell{}, false
-	}
-	c, ok := row[mitigation]
-	return c, ok
 }
 
 // Render formats the matrix as an aligned text table (the reproduction's

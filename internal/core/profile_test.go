@@ -79,8 +79,7 @@ func TestClassicProfileIsDefault(t *testing.T) {
 	got := RunMatrixJobs(attacks, named, 4)
 	for _, a := range def.Attacks {
 		for _, mit := range def.Mitigations {
-			d, _ := def.Get(a, mit)
-			n, _ := got.Get(a, mit)
+			d, n := def.Cells[a][mit], got.Cells[a][mit]
 			if d.Outcome != n.Outcome || (d.Err == nil) != (n.Err == nil) {
 				t.Errorf("%s/%s: default %v vs classic %v", a, mit, d.Outcome, n.Outcome)
 			}

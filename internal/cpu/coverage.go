@@ -105,17 +105,3 @@ func (cv *Coverage) MergeInto(acc *Coverage) int {
 	acc.n += n
 	return n
 }
-
-// Equal reports whether two maps hold exactly the same set of edges —
-// the bit-identity oracle of the block-vs-step differential tests.
-func (cv *Coverage) Equal(other *Coverage) bool {
-	if cv.n != other.n {
-		return false
-	}
-	for _, w := range cv.words {
-		if cv.bits[w] != other.bits[w] {
-			return false
-		}
-	}
-	return true
-}

@@ -221,7 +221,7 @@ const (
 // are unchanged (*w0 == g0, and *w1 == g1 when the instruction crosses a
 // page boundary), and in.Size is non-zero (zero Size marks a never-filled
 // slot, since no real instruction decodes to zero bytes). Content writes
-// that could change code, Protect and Unmap invalidate only the entries
+// that could change code and restores invalidate only the entries
 // spanning the touched page (mem.CodeStamp).
 type dcEntry struct {
 	tag uint32
@@ -498,27 +498,14 @@ func (c *CPU) writeMem(addr uint32, v uint32, size int) bool {
 	return true
 }
 
-// Push pushes v on the stack (ESP -= 4, then store). Exported for trap
-// handlers and loaders that set up initial frames.
-func (c *CPU) Push(v uint32) bool {
-	c.ensureBound()
-	return c.push(v)
-}
-
-// push is Push without the entry-point rebind check: the execution
+// push pushes v on the stack (ESP -= 4, then store). The execution
 // engines call it with the policy already bound.
 func (c *CPU) push(v uint32) bool {
 	c.Reg[isa.ESP] -= 4
 	return c.writeMem(c.Reg[isa.ESP], v, 4)
 }
 
-// Pop pops the top of stack into v.
-func (c *CPU) Pop() (uint32, bool) {
-	c.ensureBound()
-	return c.pop()
-}
-
-// pop is Pop without the entry-point rebind check.
+// pop pops the top of stack.
 func (c *CPU) pop() (uint32, bool) {
 	v, ok := c.readMem(c.Reg[isa.ESP], 4)
 	if !ok {
@@ -534,8 +521,8 @@ func (c *CPU) pop() (uint32, bool) {
 // pc they step, through fetchSlow. A hit requires the entry's page write
 // stamps to be current, so any event that could have changed the bytes
 // at IP since the fill forces a fresh fetch — the cache can never serve
-// stale bytes to self-modifying code, code injection, or post-Protect
-// fetches.
+// stale bytes to self-modifying code, code injection, or a fetch after a
+// restore.
 func (c *CPU) fetch() (isa.Instr, bool) {
 	if c.dcache == nil {
 		if c.warm(c.IP) < warmDecodeVisit {

@@ -131,56 +131,6 @@ func TestPokeWordInvalidatesDecode(t *testing.T) {
 	}
 }
 
-// TestProtectRevokesExec: removing X from a page must fault the next
-// fetch of an instruction the CPU has already decoded from it.
-func TestProtectRevokesExec(t *testing.T) {
-	c := newMachine(t, build(
-		isa.Instr{Op: isa.NOP},
-		isa.Instr{Op: isa.HLT},
-	))
-	if !c.Step() {
-		t.Fatalf("step: %v", c.Fault())
-	}
-	if err := c.Mem.Protect(textBase, mem.PageSize, mem.RW); err != nil {
-		t.Fatal(err)
-	}
-	c.IP = textBase
-	if c.Step() {
-		t.Fatal("executed from a page whose X was revoked")
-	}
-	f := c.Fault()
-	if f == nil || f.Kind != FaultMemory {
-		t.Fatalf("fault %v, want memory fault", f)
-	}
-	var mf *mem.Fault
-	if !errors.As(f, &mf) || mf.Kind != mem.FaultProtection || mf.Access != mem.X {
-		t.Fatalf("fault %v, want X protection fault", f)
-	}
-}
-
-// TestUnmapRevokesExec: unmapping the text page faults the next fetch
-// instead of serving the cached decode.
-func TestUnmapRevokesExec(t *testing.T) {
-	c := newMachine(t, build(
-		isa.Instr{Op: isa.NOP},
-		isa.Instr{Op: isa.HLT},
-	))
-	if !c.Step() {
-		t.Fatalf("step: %v", c.Fault())
-	}
-	if err := c.Mem.Unmap(textBase, 0x4000); err != nil {
-		t.Fatal(err)
-	}
-	c.IP = textBase
-	if c.Step() {
-		t.Fatal("executed from an unmapped page")
-	}
-	var mf *mem.Fault
-	if !errors.As(c.Fault(), &mf) || mf.Kind != mem.FaultUnmapped {
-		t.Fatalf("fault %v, want unmapped fault", c.Fault())
-	}
-}
-
 // blockStores denies all writes; used to prove a policy installed between
 // steps is bound before the next instruction executes.
 type blockStores struct{}

@@ -99,18 +99,6 @@ func (p *Profiler) OnRestore() {
 	p.stack = p.stack[:0]
 }
 
-// Observed returns the total instructions the profiler has observed.
-func (p *Profiler) Observed() uint64 { return p.count }
-
-// Samples returns the total samples taken.
-func (p *Profiler) Samples() uint64 {
-	var n uint64
-	for _, v := range p.counts {
-		n += v
-	}
-	return n
-}
-
 // Visit calls fn for every distinct sampled chain in deterministic
 // (byte-sorted key) order. chain holds the call-stack entry addresses
 // outermost first, with the sampled pc as the final element; the slice

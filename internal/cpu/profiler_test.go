@@ -9,6 +9,18 @@ import (
 	"softsec/internal/mem"
 )
 
+// Observed returns the total instructions the profiler has observed.
+func (p *Profiler) Observed() uint64 { return p.count }
+
+// Samples returns the total samples taken.
+func (p *Profiler) Samples() uint64 {
+	var n uint64
+	for _, v := range p.counts {
+		n += v
+	}
+	return n
+}
+
 func TestProfilerSamplingAndChains(t *testing.T) {
 	p := NewProfiler(0) // clamps to 1: every observation samples
 	if p.Interval != 1 {

@@ -36,7 +36,7 @@ package cpu
 //
 // Invalidation mirrors blocks exactly: a trace is keyed on (entry pc,
 // per-member page write stamps, policy epoch). Self-modifying code,
-// Protect/Unmap, snapshot-restore rollbacks and policy rebinds all move
+// raw pokes, snapshot-restore rollbacks and policy rebinds all move
 // one of those, killing the trace at its next probe or member boundary.
 // Per-member policy span summaries are composed from the same
 // BlockCheckCompiler contract blocks use.

@@ -146,23 +146,6 @@ const (
 	Exploited
 )
 
-func (o ExecOutcome) String() string {
-	switch o {
-	case Clean:
-		return "clean"
-	case Detected:
-		return "detected"
-	case Crashed:
-		return "crashed"
-	case Hung:
-		return "hung"
-	case Exploited:
-		return "EXPLOITED"
-	default:
-		return fmt.Sprintf("ExecOutcome(%d)", int(o))
-	}
-}
-
 // ExecResult reports one execution. It is self-contained: record()
 // derives everything (including the crash signature) from it, never
 // from the process state an intervening Execute may have replaced.
@@ -380,9 +363,6 @@ func New(cfg Config) (*Campaign, error) {
 	c.snap = p.Snapshot()
 	return c, nil
 }
-
-// Process exposes the campaign's victim process (tests and benchmarks).
-func (c *Campaign) Process() *kernel.Process { return c.proc }
 
 // Execute resets the victim to the armed snapshot, feeds it input, runs
 // it to completion and classifies the outcome. It does not touch the

@@ -2,12 +2,31 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"softsec/internal/cpu"
 	"softsec/internal/harness"
 )
+
+// String names an outcome in failure messages.
+func (o ExecOutcome) String() string {
+	switch o {
+	case Clean:
+		return "clean"
+	case Detected:
+		return "detected"
+	case Crashed:
+		return "crashed"
+	case Hung:
+		return "hung"
+	case Exploited:
+		return "EXPLOITED"
+	default:
+		return fmt.Sprintf("ExecOutcome(%d)", int(o))
+	}
+}
 
 // TestFindsSeededCrash is the headline acceptance check: on the
 // unmitigated config the fuzzer must discover the stack-smash crash in
@@ -62,7 +81,7 @@ func TestCampaignDeterministic(t *testing.T) {
 // fuzz cell must serialize to byte-identical JSON for -jobs 1 and
 // -jobs 4 (the harness determinism contract, acceptance criterion).
 func TestSweepJobsIndependent(t *testing.T) {
-	scs := Scenarios()
+	scs := ScenariosFor("")
 	if len(scs) == 0 {
 		t.Fatal("no fuzz scenarios registered")
 	}
@@ -125,7 +144,7 @@ func TestExploitOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spawn, ok := c.Process().SymbolAddr("spawn_shell")
+	spawn, ok := c.proc.SymbolAddr("spawn_shell")
 	if !ok {
 		t.Fatal("no spawn_shell symbol")
 	}
@@ -182,7 +201,7 @@ func TestDictionaryScrapesGadgets(t *testing.T) {
 	if len(dict) < 10 {
 		t.Fatalf("dictionary too small: %d words", len(dict))
 	}
-	spawn, _ := c.Process().SymbolAddr("spawn_shell")
+	spawn, _ := c.proc.SymbolAddr("spawn_shell")
 	found := false
 	for _, w := range dict {
 		if le.Uint32(w) == spawn {

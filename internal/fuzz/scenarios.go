@@ -101,17 +101,12 @@ func campaignConfigs() []mitConfig {
 // stack smash is found reliably on the unmitigated configs.
 const ScenarioExecs = 1500
 
-// Scenarios returns the fuzz campaign cells for harness registration
-// (core.RegisterScenarios includes them under group "fuzz").
-func Scenarios() []harness.Scenario {
-	return ScenariosFor("")
-}
-
-// ScenariosFor returns the same "fuzz" group cells with the named layout
-// profile baked into every campaign. Cell names are unchanged — the
-// profile is platform identity, like running the suite on different
-// hardware — so per-trial seeds (derived from names) stay comparable
-// across profiles.
+// ScenariosFor returns the fuzz campaign cells for harness registration
+// (core.RegisterScenarios includes them under group "fuzz"), with the
+// named layout profile ("" for classic) baked into every campaign. Cell
+// names do not depend on the profile — the profile is platform identity,
+// like running the suite on different hardware — so per-trial seeds
+// (derived from names) stay comparable across profiles.
 func ScenariosFor(profile string) []harness.Scenario {
 	var out []harness.Scenario
 	for _, v := range Victims() {

@@ -22,7 +22,9 @@ func testRegistry(t *testing.T) *harness.Registry {
 		{Name: "g1/b", Group: "g1", Run: run("lose")},
 		{Name: "g2/c", Group: "g2", Run: run("lose")},
 	} {
-		reg.MustRegister(s)
+		if err := reg.Register(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return reg
 }

@@ -19,7 +19,6 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 
 	"softsec/internal/telemetry"
@@ -133,13 +132,6 @@ func (r *Registry) Register(s Scenario) error {
 	return nil
 }
 
-// MustRegister is Register that panics on error, for catalog builders.
-func (r *Registry) MustRegister(s Scenario) {
-	if err := r.Register(s); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup returns the scenario with the given name.
 func (r *Registry) Lookup(name string) (Scenario, bool) {
 	r.mu.RLock()
@@ -169,22 +161,5 @@ func (r *Registry) Group(g string) []Scenario {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// Groups returns the distinct group names, sorted.
-func (r *Registry) Groups() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, n := range r.order {
-		g := r.byName[n].Group
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

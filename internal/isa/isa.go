@@ -495,13 +495,6 @@ func EndsBlock(op Op) bool { return endsBlock[op] }
 // currently executing is picked up exactly as the stepping engine would.
 func WritesMem(op Op) bool { return writesMem[op] }
 
-// IsIndirect reports whether op transfers control to a value taken from a
-// register or the stack — the transfers a code-reuse attack hijacks and the
-// ones the SFI rewriter and secure compiler must guard.
-func IsIndirect(op Op) bool {
-	return op == CALLR || op == JMPR || op == RET
-}
-
 // IsIndirectBranch reports whether op is a forward-edge indirect transfer
 // (CALLR/JMPR): the control edges a label-table CFI restricts to function
 // entries (coarse) or per-callsite target sets (fine). RET is deliberately
@@ -509,13 +502,6 @@ func IsIndirect(op Op) bool {
 // shadow stack.
 func IsIndirectBranch(op Op) bool {
 	return op == CALLR || op == JMPR
-}
-
-// IsCall reports whether op is a call (CALL or CALLR) — the instructions
-// whose fall-through address is a return site. The CFI CFG builder labels
-// exactly these fall-throughs as legitimate RET targets.
-func IsCall(op Op) bool {
-	return op == CALL || op == CALLR
 }
 
 // ImmHoldsAddress reports whether op's encoding carries a 32-bit immediate

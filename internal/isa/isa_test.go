@@ -244,10 +244,4 @@ func TestControlFlowPredicates(t *testing.T) {
 			t.Errorf("%v claims control flow", op)
 		}
 	}
-	if !IsIndirect(RET) || !IsIndirect(CALLR) || !IsIndirect(JMPR) {
-		t.Error("indirect predicate wrong")
-	}
-	if IsIndirect(CALL) || IsIndirect(JMP) {
-		t.Error("direct transfers flagged indirect")
-	}
 }

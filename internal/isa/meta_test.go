@@ -11,7 +11,6 @@ type opMeta struct {
 	endsBlock      bool // terminates straight-line decoding
 	writesMem      bool // sequential-path data store (SMC revalidation)
 	indirectBranch bool // forward-edge indirect transfer (CFI)
-	call           bool // pushes a return address (shadow stack)
 }
 
 var opMetaTable = map[Op]opMeta{
@@ -40,7 +39,7 @@ var opMetaTable = map[Op]opMeta{
 	SAR:    {},
 	NEG:    {},
 	NOT:    {},
-	CALLR:  {endsBlock: true, indirectBranch: true, call: true},
+	CALLR:  {endsBlock: true, indirectBranch: true},
 	JMPR:   {endsBlock: true, indirectBranch: true},
 	LOADW:  {},
 	STOREW: {writesMem: true},
@@ -53,7 +52,7 @@ var opMetaTable = map[Op]opMeta{
 	ORI:    {},
 	XORI:   {},
 	CMPI:   {},
-	CALL:   {endsBlock: true, call: true},
+	CALL:   {endsBlock: true},
 	JMP:    {endsBlock: true},
 	JZ:     {endsBlock: true},
 	JNZ:    {endsBlock: true},
@@ -90,9 +89,6 @@ func TestOpMetadataExhaustive(t *testing.T) {
 		if got := IsIndirectBranch(op); got != want.indirectBranch {
 			t.Errorf("IsIndirectBranch(%v) = %v, want %v", op, got, want.indirectBranch)
 		}
-		if got := IsCall(op); got != want.call {
-			t.Errorf("IsCall(%v) = %v, want %v", op, got, want.call)
-		}
 	}
 }
 
@@ -106,10 +102,6 @@ func TestOpMetadataInvariants(t *testing.T) {
 		}
 		if IsIndirectBranch(op) && !EndsBlock(op) {
 			t.Errorf("%v is an indirect branch but does not end a block", op)
-		}
-		// The indirect set is exactly the indirect branches plus RET.
-		if IsIndirect(op) != (IsIndirectBranch(op) || op == RET) {
-			t.Errorf("%v: IsIndirect inconsistent with IsIndirectBranch/RET", op)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"softsec/internal/asm"
 	"softsec/internal/cpu"
+	"softsec/internal/isa"
 	"softsec/internal/mem"
 )
 
@@ -198,8 +199,8 @@ func TestAllocRegistryLifecycle(t *testing.T) {
 	p := mustLoad(t, mustLink(t, helloMain), Config{DEP: true})
 	p.RegisterAlloc(0x1000, 64)
 	p.RegisterAlloc(0x2000, 16)
-	if p.AllocCount() != 2 {
-		t.Fatalf("count %d", p.AllocCount())
+	if len(p.allocs) != 2 {
+		t.Fatalf("count %d", len(p.allocs))
 	}
 	if !p.CheckAlloc(0x1010, 16) {
 		t.Error("contained range rejected")
@@ -214,8 +215,8 @@ func TestAllocRegistryLifecycle(t *testing.T) {
 	if p.CheckAlloc(0x1010, 4) {
 		t.Error("unregistered allocation still valid")
 	}
-	if p.AllocCount() != 1 {
-		t.Fatalf("count %d", p.AllocCount())
+	if len(p.allocs) != 1 {
+		t.Fatalf("count %d", len(p.allocs))
 	}
 }
 
@@ -235,5 +236,32 @@ func TestRandomizedLayoutStaysPageAligned(t *testing.T) {
 		if st := p.Run(); st != cpu.Exited {
 			t.Fatalf("seed %d: state %v", seed, st)
 		}
+	}
+}
+
+// TestWriteStopsAtOutputCap: write() buffers at most maxOutput bytes of
+// output in all; past the cap it stores what fits and returns that
+// count, then 0.
+func TestWriteStopsAtOutputCap(t *testing.T) {
+	p := mustLoad(t, mustLink(t, helloMain), Config{DEP: true})
+	const size = maxOutput + maxOutput/2
+	if _, err := p.Sbrk(size); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ n, want uint32 }{
+		{maxOutput / 4, maxOutput / 4},
+		{size, maxOutput - maxOutput/4},
+		{size, 0},
+	} {
+		p.CPU.Reg[isa.EAX], p.CPU.Reg[isa.EBX], p.CPU.Reg[isa.ECX], p.CPU.Reg[isa.EDX] = SysWrite, 1, p.Layout.Heap, w.n
+		if err := p.CPU.Handler.Trap(p.CPU, 0x80); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.CPU.Reg[isa.EAX]; got != w.want {
+			t.Fatalf("write(%d) returned %d, want %d", w.n, got, w.want)
+		}
+	}
+	if p.Output.Len() != maxOutput {
+		t.Fatalf("output holds %d bytes, want %d", p.Output.Len(), maxOutput)
 	}
 }

@@ -143,7 +143,8 @@ func TestSpatialOverflowSmashesFrame(t *testing.T) {
 	// The distances from buf to the saved EBP and return address are the
 	// classic profile's frame geometry, not constants of the machine.
 	f := layout.Classic().Frame(false, 16)
-	ebpOff, retOff := f.EBPOffFrom(0), f.RetOffFrom(0)
+	retOff := f.RetOffFrom(0)
+	ebpOff := retOff - 4 // the saved EBP sits just below the return address
 	payload := make([]byte, 32)
 	copy(payload, "AAAAAAAAAAAAAAAA")
 	for i := ebpOff; i < ebpOff+4; i++ {
@@ -208,20 +209,31 @@ main:
 	}
 }
 
+// permAt returns the permissions of the region holding addr, or zero
+// when no region does.
+func permAt(m *mem.Memory, addr uint32) mem.Perm {
+	for _, r := range m.Regions() {
+		if addr-r.Addr < r.Size {
+			return r.Perm
+		}
+	}
+	return 0
+}
+
 func TestDEPTogglesPagePermissions(t *testing.T) {
 	ld := mustLink(t, helloMain)
 	hardened := mustLoad(t, ld, Config{DEP: true})
-	if p := hardened.Mem.PermAt(hardened.Layout.Text); p != mem.RX {
+	if p := permAt(hardened.Mem, hardened.Layout.Text); p != mem.RX {
 		t.Errorf("DEP text perms %v", p)
 	}
-	if p := hardened.Mem.PermAt(hardened.Layout.StackLow); p != mem.RW {
+	if p := permAt(hardened.Mem, hardened.Layout.StackLow); p != mem.RW {
 		t.Errorf("DEP stack perms %v", p)
 	}
 	legacy := mustLoad(t, ld, Config{DEP: false})
-	if p := legacy.Mem.PermAt(legacy.Layout.StackLow); p != mem.R|mem.W|mem.X {
+	if p := permAt(legacy.Mem, legacy.Layout.StackLow); p != mem.R|mem.W|mem.X {
 		t.Errorf("legacy stack perms %v", p)
 	}
-	if p := legacy.Mem.PermAt(legacy.Layout.Text); p&mem.W == 0 {
+	if p := permAt(legacy.Mem, legacy.Layout.Text); p&mem.W == 0 {
 		t.Errorf("legacy text not writable: %v (code corruption needs this)", p)
 	}
 }
@@ -237,7 +249,7 @@ func TestASLRRandomizesAndPreservesCorrectness(t *testing.T) {
 	if a.Layout != same.Layout {
 		t.Error("same seed produced different layouts")
 	}
-	nom := NominalLayout()
+	nom := NominalLayoutFor(nil)
 	if a.Layout == nom {
 		t.Error("ASLR produced the nominal layout")
 	}
@@ -461,6 +473,12 @@ func TestSyscallTrace(t *testing.T) {
 		t.Fatalf("trace %v", p.SyscallLog)
 	}
 }
+
+// InputFunc adapts a function to InputSource.
+type InputFunc func(max int, outputSoFar []byte) []byte
+
+// NextInput implements InputSource.
+func (f InputFunc) NextInput(max int, out []byte) []byte { return f(max, out) }
 
 func TestAdaptiveInputSeesOutput(t *testing.T) {
 	// The input source must observe prior output — the hook adaptive

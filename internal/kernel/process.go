@@ -36,12 +36,6 @@ type Layout struct {
 	StackTop  uint32 // initial ESP
 }
 
-// NominalLayout is the classic-profile layout used when ASLR is off —
-// fully predictable, which is what classic exploits rely on.
-func NominalLayout() Layout {
-	return NominalLayoutFor(nil)
-}
-
 // NominalLayoutFor is the non-ASLR layout of a machine profile (nil means
 // classic): segment bases exactly where the profile's loader contract
 // puts them.
@@ -131,12 +125,6 @@ func CloneInput(src InputSource) InputSource {
 	return src
 }
 
-// InputFunc adapts a function to InputSource.
-type InputFunc func(max int, outputSoFar []byte) []byte
-
-// NextInput implements InputSource.
-func (f InputFunc) NextInput(max int, out []byte) []byte { return f(max, out) }
-
 // Config selects which exploit-mitigation countermeasures the platform
 // deploys (the paper's Section III-C1) and points at the input script.
 type Config struct {
@@ -212,10 +200,6 @@ type Process struct {
 
 	// allocation registry for CheckedLibc / the checked dialect
 	allocs map[uint32]uint32 // addr -> size
-
-	// Services lets other packages (internal/pma) install extra syscall
-	// numbers without the kernel depending on them.
-	Services map[uint32]func(p *Process) error
 
 	// CopyGuard, when non-nil, is consulted before the kernel copies
 	// data into or out of user memory on behalf of a syscall. A
@@ -477,6 +461,3 @@ func (p *Process) CheckAlloc(addr, size uint32) bool {
 	}
 	return false
 }
-
-// AllocCount reports the number of live registered allocations.
-func (p *Process) AllocCount() int { return len(p.allocs) }

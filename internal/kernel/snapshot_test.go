@@ -7,6 +7,7 @@ import (
 
 	"softsec/internal/asm"
 	"softsec/internal/cpu"
+	"softsec/internal/mem"
 	"softsec/internal/minc"
 )
 
@@ -26,7 +27,7 @@ func dumpProc(t *testing.T, p *Process) string {
 	fmt.Fprintf(&b, "reg=%v ip=%#x f=%+v steps=%d state=%v exit=%d\n",
 		p.CPU.Reg, p.CPU.IP, p.CPU.F, p.CPU.Steps, p.CPU.StateOf(), p.CPU.ExitCode())
 	fmt.Fprintf(&b, "brk=%#x canary=%#x allocs=%d out=%q log=%d\n",
-		p.brk, p.Canary, p.AllocCount(), p.Output.String(), len(p.SyscallLog))
+		p.brk, p.Canary, len(p.allocs), p.Output.String(), len(p.SyscallLog))
 	return b.String()
 }
 
@@ -116,8 +117,8 @@ func TestSnapshotRestoreMutatingProgram(t *testing.T) {
 }
 
 // TestSnapshotRestoreKernelMutations rolls back mutations performed from
-// kernel level between runs — Protect, Unmap, PokeWord — the other
-// classes of the property.
+// kernel level between runs — a PokeWord into data and a fresh Map — the
+// other classes of the property.
 func TestSnapshotRestoreKernelMutations(t *testing.T) {
 	img, err := asm.Assemble("mut", mutatorSrc)
 	if err != nil {
@@ -134,12 +135,10 @@ func TestSnapshotRestoreKernelMutations(t *testing.T) {
 	snap := p.Snapshot()
 	want := dumpProc(t, p)
 
-	if err := p.Mem.Protect(p.Layout.Text, 0x1000, 0x4 /* X only */); err != nil {
+	if err := p.Mem.Map(p.Layout.Heap, mem.PageSize, mem.RWX); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Mem.Unmap(p.Layout.StackLow, 0x1000); err != nil {
-		t.Fatal(err)
-	}
+	p.Mem.PokeWord(p.Layout.Heap, 0xfeedface)
 	p.Mem.PokeWord(p.Layout.Data, 0xdeadbeef)
 	if err := p.Restore(snap); err != nil {
 		t.Fatal(err)

@@ -31,6 +31,13 @@ const (
 	ENOMEM = 12
 )
 
+// maxOutput caps a process's buffered output, as RLIMIT_FSIZE caps a
+// file: a write that would pass it stores what fits and returns that
+// count, so a write at the cap returns 0. Without it a guest could make
+// the host buffer its mapped memory any number of times over: one write
+// of a heap grown to MaxHeapBytes would copy and buffer 128 MiB.
+const maxOutput = 1 << 20
+
 // BoundsViolation is the error produced when a run-time check catches an
 // out-of-bounds access. It is deliberately a distinct type: the scenario
 // oracles classify "blocked with detection" separately from crashes.
@@ -61,7 +68,7 @@ func CountermeasureFault(f *cpu.Fault) bool {
 
 type trapHandler Process
 
-// Trap implements cpu.TrapHandler for INT 0x80 and service vectors.
+// Trap implements cpu.TrapHandler for INT 0x80.
 func (h *trapHandler) Trap(c *cpu.CPU, vector uint8) error {
 	p := (*Process)(h)
 	if vector != 0x80 {
@@ -71,12 +78,6 @@ func (h *trapHandler) Trap(c *cpu.CPU, vector uint8) error {
 	a1 := c.Reg[isa.EBX]
 	a2 := c.Reg[isa.ECX]
 	a3 := c.Reg[isa.EDX]
-
-	if p.Services != nil {
-		if svc, ok := p.Services[no]; ok {
-			return svc(p)
-		}
-	}
 
 	switch no {
 	case SysExit:
@@ -216,6 +217,9 @@ func (p *Process) sysWrite(fd, buf, n uint32) uint32 {
 	// allocation (fuzzed executions hand this syscall random registers).
 	if !p.Mem.CheckRange(buf, n, mem.R) {
 		return efault()
+	}
+	if room := max(maxOutput-p.Output.Len(), 0); int(n) > room {
+		n = uint32(room)
 	}
 	b, err := p.Mem.ReadBytes(buf, int(n))
 	if err != nil {

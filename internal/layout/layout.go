@@ -281,10 +281,6 @@ func (p *Profile) Frame(canary bool, sizes ...int) Frame {
 // overflowing that local needs.
 func (f Frame) RetOffFrom(i int) int { return int(4 - f.Offs[i]) }
 
-// EBPOffFrom returns the byte distance from the start of local i to the
-// saved base pointer at [ebp].
-func (f Frame) EBPOffFrom(i int) int { return int(-f.Offs[i]) }
-
 // CanaryOffFrom returns the byte distance from the start of local i to
 // the canary slot, and whether an overflow running upward from that local
 // to the saved return address crosses the canary at all. When it does

@@ -1,6 +1,6 @@
 // Package mem implements the flat 32-bit virtual address space of the SM32
 // simulated machine: sparse 4 KiB pages, each carrying read/write/execute
-// permissions.
+// permissions fixed when it is mapped.
 //
 // The package enforces only page permissions. Higher-level access-control
 // policies (the Protected Module Architecture rules of the paper's Section
@@ -26,12 +26,12 @@
 // exposed through CodeStamp: it bumps on every event that could change
 // what executing code on that page means — content writes that could
 // change code (checked writes landing on an executable page, LoadRaw,
-// PokeWord), permission changes (Protect), the page being unmapped or its
-// backing object recycled, and checkpoint rollbacks. The CPU's decode,
-// block and trace caches record (stamp pointer, value) pairs at fill time
-// and treat any change as invalidation of exactly the spans over that
-// page, so the caches stay warm across the map/unmap churn of a fuzzing
-// campaign's heap, and across snapshot restores that undo it.
+// PokeWord), checkpoint rollbacks, and a restore removing the page and
+// recycling its backing object. The CPU's decode, block and trace caches
+// record (stamp pointer, value) pairs at fill time and treat any change
+// as invalidation of exactly the spans over that page, so the caches stay
+// warm across the heap churn of a fuzzing campaign and across the
+// snapshot restores that undo it.
 package mem
 
 import (
@@ -39,7 +39,7 @@ import (
 	"slices"
 )
 
-// PageSize is the granularity of mapping and protection, 4 KiB as on the
+// PageSize is the granularity of mapping and permissions, 4 KiB as on the
 // platforms the paper discusses.
 const PageSize = 4096
 
@@ -132,10 +132,9 @@ type page struct {
 	// wgen is the page's write generation: it increments on every event
 	// that could change what executing from this page means — content
 	// writes while the page is executable, raw pokes and loads, checkpoint
-	// rollbacks, permission changes, and the page being unmapped or its
-	// object recycled through the page pool. Code caches record
-	// (&wgen, wgen) at fill time via CodeStamp and treat any change as
-	// invalidation of decodes over this page only.
+	// rollbacks, and a restore retiring the page into the page pool. Code
+	// caches record (&wgen, wgen) at fill time via CodeStamp and treat any
+	// change as invalidation of decodes over this page only.
 	wgen uint64
 	// dlo/dhi bound the byte span written in the current mutate-restore
 	// cycle ([dlo, dhi), empty when dlo >= dhi). Checkpoint save resets
@@ -157,7 +156,7 @@ type extent struct {
 // empty address space ready to use.
 type Memory struct {
 	// ext is sorted by base, and no two extents touch. Extents never
-	// shrink: Unmap and Restore nil slots, which heap churn refills.
+	// shrink: Restore nils slots, which heap churn refills.
 	ext    []extent
 	npages int
 
@@ -172,9 +171,9 @@ type Memory struct {
 	snap    *Checkpoint
 	snapSeq uint64
 
-	// free is the page pool: page objects released by Unmap (and by
-	// Restore removing run-created pages) are recycled by the next Map
-	// instead of churning the garbage collector — the sbrk-per-execution
+	// free is the page pool: page objects Restore releases when it
+	// removes run-created pages are recycled by the next Map instead of
+	// churning the garbage collector — the sbrk-per-execution
 	// pattern of a fuzzing campaign allocates its heap pages exactly once.
 	// Recycling is safe for the code caches because releasing a page bumps
 	// its write generation, so any cached stamp into its previous life can
@@ -254,8 +253,8 @@ func (m *Memory) cover(first, end uint32) []*page {
 // CodeStamp returns the write-generation stamp for code at addr: a
 // pointer to the owning page's write-generation counter plus its current
 // value. A cached decode spanning addr is valid while the pointed-to
-// counter still equals the returned value: content writes, permission
-// changes, unmapping and page-object recycling all move the counter.
+// counter still equals the returned value: content writes, rollbacks and
+// page-object recycling all move the counter.
 // Returns (nil, 0) when addr is unmapped.
 //
 // The pointer stays valid for the lifetime of the page object, and a
@@ -278,6 +277,7 @@ const maxFreePages = 512
 // allocPage returns a zeroed page with the given permissions, from the
 // page pool (keeping its private array, zeroed here) or else from the
 // header batch fresh, whose rest it returns; a new page reads zeroPage.
+// Map sizes fresh to the pages the pool cannot supply.
 func (m *Memory) allocPage(perm Perm, fresh []page) (*page, []page) {
 	if n := len(m.free); n > 0 {
 		p := m.free[n-1]
@@ -289,9 +289,6 @@ func (m *Memory) allocPage(perm Perm, fresh []page) (*page, []page) {
 		p.perm = perm
 		p.seq = 0
 		return p, fresh
-	}
-	if len(fresh) == 0 {
-		fresh = make([]page, 1)
 	}
 	p := &fresh[0]
 	p.data, p.perm = &zeroPage, perm
@@ -348,78 +345,11 @@ func (m *Memory) Map(addr, size uint32, perm Perm) error {
 		if m.snap != nil {
 			m.snap.saveAbsent(first + uint32(i))
 			p.seq = m.snap.seq
-			// If this pn already has a content entry in the undo log
-			// (the run unmapped a checkpoint page and is remapping the
-			// slot), the fresh zeroed page diverges from checkpoint
-			// content everywhere: claim the full span so Restore copies
-			// the whole page back.
-			p.dlo, p.dhi = 0, PageSize
 		}
 		slots[i] = p
 	}
 	m.npages += int(n)
 	return nil
-}
-
-// Unmap removes the pages covering [addr, addr+size). Missing pages are
-// ignored, so Unmap is idempotent.
-func (m *Memory) Unmap(addr, size uint32) error {
-	if addr%PageSize != 0 || size%PageSize != 0 {
-		return fmt.Errorf("mem: Unmap(0x%08x, 0x%x): not page aligned", addr, size)
-	}
-	first := addr / PageSize
-	for i := uint32(0); i < size/PageSize; i++ {
-		if p := m.pageAt(first + i); p != nil {
-			if m.snap != nil && p.seq != m.snap.seq {
-				m.snap.save(first+i, p)
-			}
-			*m.slot(first + i) = nil
-			m.npages--
-			m.releasePage(p)
-		}
-	}
-	m.lastPage = nil // the cached page may be the one removed
-	return nil
-}
-
-// Protect changes the permissions of every mapped page in [addr, addr+size).
-// It fails if any page in the range is unmapped.
-func (m *Memory) Protect(addr, size uint32, perm Perm) error {
-	if addr%PageSize != 0 || size%PageSize != 0 {
-		return fmt.Errorf("mem: Protect(0x%08x, 0x%x): not page aligned", addr, size)
-	}
-	first := addr / PageSize
-	n := size / PageSize
-	for i := uint32(0); i < n; i++ {
-		if m.pageAt(first+i) == nil {
-			return &Fault{Kind: FaultUnmapped, Addr: (first + i) * PageSize, Access: perm}
-		}
-	}
-	for i := uint32(0); i < n; i++ {
-		p := m.pageAt(first + i)
-		if m.snap != nil && p.seq != m.snap.seq {
-			m.snap.save(first+i, p)
-		}
-		if p.perm != perm {
-			// What execution from this page means changed: cached decodes
-			// minted under the old permissions must not survive.
-			m.bumpStamp(p)
-		}
-		p.perm = perm
-	}
-	return nil
-}
-
-// Mapped reports whether addr lies in a mapped page.
-func (m *Memory) Mapped(addr uint32) bool { return m.page(addr) != nil }
-
-// PermAt returns the permissions of the page containing addr, or zero if
-// the address is unmapped.
-func (m *Memory) PermAt(addr uint32) Perm {
-	if p := m.page(addr); p != nil {
-		return p.perm
-	}
-	return 0
 }
 
 func (m *Memory) check(addr uint32, access Perm) (*page, error) {

@@ -37,7 +37,7 @@ func TestMapOverlapRejected(t *testing.T) {
 		t.Fatal("overlapping Map accepted")
 	}
 	// The failed Map must not have destroyed the original mapping.
-	if !m.Mapped(0x2000) {
+	if _, err := m.Read8(0x2000); err != nil {
 		t.Fatal("original mapping lost after rejected overlap")
 	}
 }
@@ -155,37 +155,6 @@ func TestPartialWriteAtBoundary(t *testing.T) {
 	}
 }
 
-func TestProtectTransitions(t *testing.T) {
-	m := New()
-	mustMap(t, m, 0x1000, PageSize, RW)
-	if err := m.Protect(0x1000, PageSize, RX); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write8(0x1000, 1); err == nil {
-		t.Error("write allowed after Protect to RX")
-	}
-	if _, err := m.Fetch8(0x1000); err != nil {
-		t.Errorf("fetch failed after Protect to RX: %v", err)
-	}
-	if err := m.Protect(0x4000, PageSize, RW); err == nil {
-		t.Error("Protect of unmapped range succeeded")
-	}
-}
-
-func TestUnmapIdempotent(t *testing.T) {
-	m := New()
-	mustMap(t, m, 0x1000, PageSize, RW)
-	if err := m.Unmap(0x1000, PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if m.Mapped(0x1000) {
-		t.Fatal("still mapped")
-	}
-	if err := m.Unmap(0x1000, PageSize); err != nil {
-		t.Fatalf("second Unmap: %v", err)
-	}
-}
-
 func TestRegionsCoalesce(t *testing.T) {
 	m := New()
 	mustMap(t, m, 0x1000, 2*PageSize, RX)
@@ -228,7 +197,7 @@ func TestLoadRawUnmapped(t *testing.T) {
 
 func TestZeroValueUsable(t *testing.T) {
 	var m Memory
-	if m.Mapped(0) {
+	if m.Regions() != nil {
 		t.Fatal("zero value claims mapped page")
 	}
 	if err := m.Map(0x1000, PageSize, RW); err != nil {
@@ -298,11 +267,10 @@ func TestPermString(t *testing.T) {
 
 // TestCodeGenEvents pins down exactly which events move the write stamps
 // the CPU's decode, block and trace caches subscribe to: content writes
-// that could change code, permission changes and unmapping move the
-// touched page's CodeStamp (per-page invalidation, and only the touched
-// page's), while reads and plain data writes move nothing — which is what
-// keeps the caches warm across the map/unmap heap churn of a fuzzing
-// campaign.
+// that could change code and a restore retiring a page move the touched
+// page's CodeStamp (per-page invalidation, and only the touched page's),
+// while reads and plain data writes move nothing — which is what keeps
+// the caches warm across the heap churn of a fuzzing campaign.
 func TestCodeGenEvents(t *testing.T) {
 	m := New()
 	pageWrite := func(name string, addr uint32, f func()) {
@@ -345,19 +313,6 @@ func TestCodeGenEvents(t *testing.T) {
 		}
 	})
 	pageWrite("PokeWord", 0x2000, func() { m.PokeWord(0x2000, 7) })
-	// Protect that changes permissions invalidates the page's decodes
-	// (what executing from it means changed)...
-	pageWrite("Protect RW->RX", 0x2000, func() {
-		if err := m.Protect(0x2000, PageSize, RX); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// ...while a no-op Protect to the same permissions moves nothing.
-	unchanged("Protect RX->RX", 0x2000, func() {
-		if err := m.Protect(0x2000, PageSize, RX); err != nil {
-			t.Fatal(err)
-		}
-	})
 	// A write to one page must not disturb another page's stamp.
 	unchanged("Write8 to X page (other page's stamp)", 0x2000, func() {
 		if err := m.Write8(0x1000, 0x91); err != nil {
@@ -368,26 +323,24 @@ func TestCodeGenEvents(t *testing.T) {
 		mustMap(t, m, 0x6000, PageSize, RWX)
 	})
 
-	// Unmap retires the page through a final stamp bump: a cached
-	// (pointer, value) pair from before the unmap can never compare equal
-	// again — not even if the page object is recycled by a later Map.
-	ref, w0 := m.CodeStamp(0x1000)
-	if err := m.Unmap(0x1000, PageSize); err != nil {
+	// Restore retires a run-created page through a final stamp bump: a
+	// cached (pointer, value) pair from before the restore can never
+	// compare equal again — not even if the page object is recycled by a
+	// later Map.
+	cp := m.Checkpoint()
+	mustMap(t, m, 0x3000, PageSize, RWX)
+	ref, w0 := m.CodeStamp(0x3000)
+	if err := m.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 	if *ref == w0 {
-		t.Fatal("Unmap did not retire the page's write stamp")
+		t.Fatal("Restore did not retire the removed page's write stamp")
 	}
-	mustMap(t, m, 0x3000, PageSize, RWX) // may recycle the unmapped page object
+	mustMap(t, m, 0x4000, PageSize, RWX) // may recycle the retired page object
 	if *ref == w0 {
-		t.Fatal("recycled page object resurrected a pre-unmap stamp value")
+		t.Fatal("recycled page object resurrected a pre-restore stamp value")
 	}
 
-	pageWrite("Protect RX->RW", 0x2000, func() {
-		if err := m.Protect(0x2000, PageSize, RW); err != nil {
-			t.Fatal(err)
-		}
-	})
 	unchanged("Write8 to data page", 0x2000, func() {
 		if err := m.Write8(0x2000, 1); err != nil {
 			t.Fatal(err)

@@ -13,10 +13,10 @@ import "fmt"
 //
 // The implementation is a first-touch undo log. While a checkpoint is
 // active, the first mutation of each page — a permission-checked write, a
-// raw poke or load, a Protect, an Unmap, or a Map of a fresh page —
-// saves that page's pre-checkpoint state (or the fact that it did not
-// exist) keyed by page number, and records the page on the dirty list of
-// the current mutate-restore cycle. Restore walks only the dirty list:
+// raw poke or load, or a Map of a fresh page — saves that page's
+// pre-checkpoint bytes (or the fact that it did not exist) keyed by page
+// number, and records the page on the dirty list of the current
+// mutate-restore cycle. Restore walks only the dirty list:
 // pages untouched since the previous restore are already at their
 // checkpoint content and cost nothing, so a reset is proportional to the
 // pages the *last run* dirtied, not to everything any run ever touched.
@@ -33,34 +33,27 @@ import "fmt"
 // mutated-run bytes of exactly those pages are invalidated — and no
 // others. Pages untouched since the checkpoint (under DEP, all of text)
 // keep their stamps, so their cached decodes, blocks and traces stay warm
-// across resets — the fuzzing fast path. Structural changes since the
-// checkpoint need no special pass here: Map, Unmap and Protect invalidate
-// per page through the same write-generation tier as they happen (see
-// mem.go), and the created pages Restore removes are retired through
+// across resets — the fuzzing fast path. A page's permissions are fixed
+// when it is mapped, and only Restore removes a page, so the log holds
+// bytes alone; the created pages Restore removes are retired through
 // releasePage, which bumps their stamps before recycling them.
-
-// undoPage records the pre-checkpoint content and permissions of one
-// page. A nil *undoPage in the log means "no page existed here at
-// checkpoint time" — created pages carry no payload, so a run that maps
-// thousands of pages costs the log only map entries, not page copies.
-type undoPage struct {
-	perm Perm
-	data [PageSize]byte
-}
 
 // Checkpoint is an active memory checkpoint created by Memory.Checkpoint.
 // At most one checkpoint is active per Memory; creating a new one
 // abandons the old (its undo information is discarded, not applied).
 type Checkpoint struct {
-	m      *Memory
 	seq    uint64
 	npages int
-	pages  map[uint32]*undoPage
+	// pages holds the pre-checkpoint bytes of each page the checkpoint
+	// has seen mutated. A nil entry means "no page existed here at
+	// checkpoint time" — created pages carry no payload, so a run that
+	// maps thousands of pages costs the log only map entries, not page
+	// copies.
+	pages map[uint32]*[PageSize]byte
 	// dirty lists the pages touched since the last Restore (or since the
 	// checkpoint was taken). Restore processes exactly this list. A page
-	// appears at most once per cycle — the page.seq stamp suppresses
-	// repeats — except for a harmless unmap/remap duplicate, which
-	// Restore handles idempotently.
+	// appears at most once per cycle: the page.seq stamp suppresses
+	// repeats.
 	dirty []uint32
 }
 
@@ -70,27 +63,18 @@ type Checkpoint struct {
 func (m *Memory) Checkpoint() *Checkpoint {
 	m.snapSeq++
 	cp := &Checkpoint{
-		m:      m,
 		seq:    m.snapSeq,
 		npages: m.npages,
-		pages:  make(map[uint32]*undoPage),
+		pages:  make(map[uint32]*[PageSize]byte),
 	}
 	m.snap = cp
 	return cp
 }
 
-// Discard stops tracking for cp without restoring anything.
-func (m *Memory) Discard(cp *Checkpoint) {
-	if m.snap == cp {
-		m.snap = nil
-	}
-}
-
 // Restore rolls the address space back to the state captured by cp:
-// byte content, permissions, and the set of mapped pages all return to
-// their checkpoint values. The checkpoint stays active, so the
-// mutate-restore cycle can repeat indefinitely. cp must be the Memory's
-// active checkpoint.
+// byte content and the set of mapped pages return to their checkpoint
+// values. The checkpoint stays active, so the mutate-restore cycle can
+// repeat indefinitely. cp must be the Memory's active checkpoint.
 func (m *Memory) Restore(cp *Checkpoint) error {
 	if m.snap != cp {
 		return fmt.Errorf("mem: Restore: checkpoint is not active for this memory")
@@ -100,62 +84,32 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 		m.stats.RestoreDirtyPages += uint64(len(cp.dirty))
 	}
 	for _, pn := range cp.dirty {
-		u, logged := cp.pages[pn]
-		if !logged {
-			continue // duplicate dirty record whose entry was consumed
-		}
 		s := m.slot(pn) // extents never shrink, so the slot exists
 		cur := *s
-		if u != nil {
-			if cur == nil {
-				// The run unmapped a checkpoint page: recreate it whole
-				// (the replacement page carries no dirty span).
-				cur, _ = m.allocPage(u.perm, nil)
-				*s = cur
-				m.npages++
-				*cur.writable() = u.data
-				cur.perm = u.perm
-				cur.seq = 0
-				m.bumpStamp(cur)
-				continue
-			}
+		if u := cp.pages[pn]; u != nil {
 			// Roll back only the span the run wrote — every content
-			// mutation path routes through touch, which maintains it.
-			// An untouched span with unchanged permissions (a page saved
-			// by Protect and then left alone) is byte-identical to the
-			// checkpoint already: skip the copy AND the write-generation
-			// bump, keeping decodes, blocks and traces over it warm
-			// across the reset.
-			if cur.dlo < cur.dhi {
-				copy(cur.writable()[cur.dlo:cur.dhi], u.data[cur.dlo:cur.dhi])
-				// The rollback rewrote this page's bytes: decodes cached
-				// against the mutated-run content must not survive.
-				m.bumpStamp(cur)
-			} else if cur.perm != u.perm {
-				// Perm-only rollback still changes what executing from
-				// the page means.
-				m.bumpStamp(cur)
-			}
-			cur.perm = u.perm
+			// mutation path routes through touch, which saves a page only
+			// to store at least one byte into it, so the span is never
+			// empty — and bump the stamp: decodes cached against the
+			// mutated-run content must not survive.
+			copy(cur.writable()[cur.dlo:cur.dhi], u[cur.dlo:cur.dhi])
+			m.bumpStamp(cur)
 			// Back to checkpoint content and un-saved: the next write in
 			// the next cycle re-dirties the page (cheap — the log entry
 			// already exists, so no second page copy ever happens).
 			cur.seq = 0
-		} else {
-			if cur != nil {
-				*s = nil
-				m.npages--
-				// Retiring the run-created page bumps its write stamp, so
-				// decodes cached against code injected into it die, and
-				// recycles the object for the next run's Map.
-				m.releasePage(cur)
-			}
-			// A created-page entry is spent once the page is gone; drop
-			// it so workloads that map transient pages (heap churn) do
-			// not grow the log without bound. A later Map at this pn
-			// records a fresh entry.
-			delete(cp.pages, pn)
+			continue
 		}
+		*s = nil
+		m.npages--
+		// Retiring the run-created page bumps its write stamp, so
+		// decodes cached against code injected into it die, and recycles
+		// the object for the next run's Map.
+		m.releasePage(cur)
+		// A created-page entry is spent once the page is gone; drop it so
+		// workloads that map transient pages (heap churn) do not grow the
+		// log without bound. A later Map at this pn records a fresh entry.
+		delete(cp.pages, pn)
 	}
 	cp.dirty = cp.dirty[:0]
 	if m.npages != cp.npages {
@@ -172,16 +126,15 @@ func (m *Memory) Restore(cp *Checkpoint) error {
 // before mutating the page.
 func (cp *Checkpoint) save(pn uint32, p *page) {
 	p.seq = cp.seq
-	// A fresh cycle for this page: no bytes written yet. Protect saves
-	// pages that may then never be written; an empty span at Restore
-	// means their content (and cached decodes) survive.
+	// A fresh cycle for this page: no bytes written yet; touch extends
+	// the span by the write that follows.
 	p.dlo, p.dhi = PageSize, 0
 	cp.dirty = append(cp.dirty, pn)
 	if _, ok := cp.pages[pn]; ok {
 		return
 	}
-	u := &undoPage{perm: p.perm}
-	u.data = *p.data
+	u := new([PageSize]byte)
+	*u = *p.data
 	cp.pages[pn] = u
 }
 

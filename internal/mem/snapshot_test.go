@@ -102,11 +102,10 @@ func checkExtents(t *testing.T, m *Memory, what string) {
 
 // checkpointOps decodes data into a starting layout and a stream of
 // operations drawn from every mutation path the Memory has — checked
-// writes, raw pokes and loads, Protect, Unmap, single- and multi-page
-// Map — interleaved with restores and re-checkpoints. After every
-// restore the space must be byte-identical to the checkpoint, and after
-// every operation the shared zero page must still be all zero and the
-// extents well formed.
+// writes, raw pokes and loads, single- and multi-page Map — interleaved
+// with restores and re-checkpoints. After every restore the space must be
+// byte-identical to the checkpoint, and after every operation the shared
+// zero page must still be all zero and the extents well formed.
 //
 // The layout maps some of 16 pages with random content, leaves some as
 // holes, and maps some without writing them, so operations and
@@ -153,7 +152,7 @@ func checkpointOps(t *testing.T, data []byte) {
 	}
 
 	for op := 0; op < maxOps && len(s) > 0; op++ {
-		code := s.byte() % 11
+		code := s.byte() % 9
 		// Faults and overlapping maps are expected outcomes here: only
 		// the restored content is checked.
 		switch code {
@@ -170,10 +169,6 @@ func checkpointOps(t *testing.T, data []byte) {
 			a, n := s.addr(base), 1+int(s.byte())
 			m.LoadRaw(a, pattern(s.byte(), n))
 		case 5:
-			m.Protect(s.addr(base)&^PageMask, PageSize, Perm(1+s.byte()%7))
-		case 6:
-			m.Unmap(s.addr(base)&^PageMask, PageSize)
-		case 7:
 			// A fresh page reads zero, recycled from the page pool or not.
 			a := s.addr(base) &^ PageMask
 			if m.Map(a, PageSize, Perm(1+s.byte()%7)) == nil {
@@ -181,7 +176,7 @@ func checkpointOps(t *testing.T, data []byte) {
 					t.Fatalf("op %d: freshly mapped page at %#x is not zero", op, a)
 				}
 			}
-		case 8:
+		case 6:
 			// A 1–4 page Map adjoins, bridges or overlaps mapped pages
 			// and holes, so extents grow and merge (or the Map fails).
 			a, n := s.addr(base)&^PageMask, 1+int(s.byte()%4)
@@ -190,9 +185,9 @@ func checkpointOps(t *testing.T, data []byte) {
 					t.Fatalf("op %d: freshly mapped pages at %#x are not zero", op, a)
 				}
 			}
-		case 9:
+		case 7:
 			restore(fmt.Sprintf("op %d", op))
-		case 10:
+		case 8:
 			cp = m.Checkpoint()
 			want, wantRegions = dumpSpace(t, m), m.Regions()
 		}
@@ -204,10 +199,10 @@ func checkpointOps(t *testing.T, data []byte) {
 }
 
 // TestCheckpointRestoreProperty is the snapshot/restore property test:
-// checkpoint, run an arbitrary mutation storm (including mapping and
-// permission changes), restore — the space must be
-// byte-identical to the checkpoint, over many independent seeds and
-// repeated mutate/restore rounds against the same checkpoint.
+// checkpoint, run an arbitrary mutation storm (including new mappings),
+// restore — the space must be byte-identical to the checkpoint, over many
+// independent seeds and repeated mutate/restore rounds against the same
+// checkpoint.
 func TestCheckpointRestoreProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		data := make([]byte, 2048)
@@ -256,14 +251,13 @@ func TestHeapChurnAllocatesNothing(t *testing.T) {
 }
 
 // TestRestoreGenBehaviour pins the decode-cache contract across
-// divergent runs: structural events (Protect here) and the restore that
-// undoes them invalidate through the touched pages' write stamps only —
-// one divergent run must not condemn the rest of the campaign to cold
-// caches, and pages the divergence never touched keep their stamps
-// through the whole cycle.
+// divergent runs: a write and the restore that undoes it invalidate
+// through the touched page's write stamp only — one divergent run must
+// not condemn the rest of the campaign to cold caches, and pages the
+// divergence never touched keep their stamps through the whole cycle.
 func TestRestoreGenBehaviour(t *testing.T) {
 	m := New()
-	if err := m.Map(0x1000, 2*PageSize, RW); err != nil {
+	if err := m.Map(0x1000, 2*PageSize, RWX); err != nil {
 		t.Fatal(err)
 	}
 	cp := m.Checkpoint()
@@ -277,73 +271,31 @@ func TestRestoreGenBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A divergent round: Protect flips a page's permissions mid-run. The
-	// page's stamp must move at the Protect AND at the restore that rolls
-	// the permissions back (decodes minted under either permission state
-	// must not survive into the other), while the untouched neighbour
-	// page keeps its stamp through the whole cycle.
+	// A divergent round: a store rewrites code on one page mid-run. The
+	// page's stamp must move at the write AND at the restore that rolls
+	// it back (decodes minted under either content must not survive into
+	// the other), while the untouched neighbour page keeps its stamp
+	// through the whole cycle.
 	_, w0 := m.CodeStamp(0x1000)
 	_, n0 := m.CodeStamp(0x2000)
-	if err := m.Protect(0x1000, PageSize, RX); err != nil {
+	if err := m.Write8(0x1000, 0x90); err != nil {
 		t.Fatal(err)
 	}
 	_, wMut := m.CodeStamp(0x1000)
 	if wMut == w0 {
-		t.Fatal("Protect did not move the page's write stamp")
+		t.Fatal("the write did not move the page's write stamp")
 	}
 	if err := m.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 	if _, w := m.CodeStamp(0x1000); w == wMut || w == w0 {
-		t.Fatalf("restore after Protect must move the touched page's stamp past every value seen: got %d (had %d, %d)", w, w0, wMut)
+		t.Fatalf("restore after a write must move the touched page's stamp past every value seen: got %d (had %d, %d)", w, w0, wMut)
 	}
-	if m.PermAt(0x1000) != RW {
-		t.Fatalf("perm not restored: %v", m.PermAt(0x1000))
+	if b, err := m.Read8(0x1000); err != nil || b != 0 {
+		t.Fatalf("content not restored: %#x, %v", b, err)
 	}
 	if _, n := m.CodeStamp(0x2000); n != n0 {
 		t.Fatal("untouched page lost its stamp across a divergent round (cache needlessly cold)")
-	}
-}
-
-// TestCheckpointUnmapRemapCycle exercises the trickiest log case: a page
-// unmapped and re-mapped (with different permissions and content) inside
-// one checkpoint epoch must restore to its original identity.
-func TestCheckpointUnmapRemapCycle(t *testing.T) {
-	m := New()
-	if err := m.Map(0x2000, PageSize, RX); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadRaw(0x2000, []byte("original")); err != nil {
-		t.Fatal(err)
-	}
-	cp := m.Checkpoint()
-
-	if err := m.Unmap(0x2000, PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Map(0x2000, PageSize, RW); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadRaw(0x2000, []byte("replaced")); err != nil {
-		t.Fatal(err)
-	}
-	// And a brand-new page that must disappear again.
-	if err := m.Map(0x5000, PageSize, RWX); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if m.PermAt(0x2000) != RX {
-		t.Fatalf("perm = %v, want r-x", m.PermAt(0x2000))
-	}
-	b, ok := m.PeekRaw(0x2000, 8)
-	if !ok || string(b) != "original" {
-		t.Fatalf("content = %q, want original", b)
-	}
-	if m.Mapped(0x5000) {
-		t.Fatalf("page created after checkpoint survived restore")
 	}
 }
 
@@ -353,10 +305,6 @@ func TestRestoreRequiresActiveCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := m.Checkpoint()
-	m.Discard(cp)
-	if err := m.Restore(cp); err == nil {
-		t.Fatal("restore of a discarded checkpoint succeeded")
-	}
 	cp2 := m.Checkpoint()
 	if err := m.Restore(cp); err == nil {
 		t.Fatal("restore of a superseded checkpoint succeeded")

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"softsec/internal/isa"
 	"softsec/internal/kernel"
 	"softsec/internal/seedrand"
 )
@@ -119,44 +118,4 @@ func (h *Hardware) CounterRead(id string) uint64 { return h.counters[id] }
 func (h *Hardware) CounterIncrement(id string) uint64 {
 	h.counters[id]++
 	return h.counters[id]
-}
-
-// SysAttest is the syscall number for in-module attestation requests.
-const SysAttest = 0x30
-
-// InstallAttestService wires the attestation hardware into a process: a
-// protected module calls INT 0x80 with EAX=SysAttest, EBX=nonce pointer,
-// ECX=nonce length, EDX=report output pointer. The hardware identifies the
-// *calling module* from the instruction pointer — code outside any
-// protected module is refused, so nobody can ask the hardware to
-// impersonate a module.
-func (h *Hardware) InstallAttestService(proc *kernel.Process, pol *Policy) {
-	if proc.Services == nil {
-		proc.Services = make(map[uint32]func(*kernel.Process) error)
-	}
-	proc.Services[SysAttest] = func(p *kernel.Process) error {
-		ip := p.CPU.IP
-		var caller *Module
-		for i := range pol.modules {
-			if pol.modules[i].inCode(ip) {
-				caller = &pol.modules[i]
-				break
-			}
-		}
-		if caller == nil {
-			return &Violation{Rule: "attest-from-outside", IP: ip}
-		}
-		noncePtr := p.CPU.Reg[isa.EBX]
-		nonceLen := p.CPU.Reg[isa.ECX]
-		outPtr := p.CPU.Reg[isa.EDX]
-		// Check the whole range before PeekRaw allocates the copy: ECX
-		// is guest-chosen, and a junk length must cost an error, not a
-		// multi-gigabyte allocation.
-		if !p.Mem.CheckRange(noncePtr, nonceLen, 0) {
-			return fmt.Errorf("pma: attest: bad nonce range")
-		}
-		nonce, _ := p.Mem.PeekRaw(noncePtr, int(nonceLen))
-		report := h.Attest(p, *caller, nonce)
-		return p.Mem.LoadRaw(outPtr, report)
-	}
 }

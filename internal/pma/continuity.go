@@ -100,8 +100,6 @@ type Store interface {
 	Save(state []byte, inj *FaultInjector) error
 	// Recover returns the freshest valid state.
 	Recover() ([]byte, error)
-	// Name identifies the scheme in tables.
-	Name() string
 }
 
 // PlainStore stores plaintext.
@@ -109,9 +107,6 @@ type PlainStore struct {
 	Disk *Disk
 	ID   string
 }
-
-// Name implements Store.
-func (s *PlainStore) Name() string { return "plain" }
 
 // Save implements Store.
 func (s *PlainStore) Save(state []byte, inj *FaultInjector) error {
@@ -138,9 +133,6 @@ type SealedStore struct {
 	Key  []byte
 	ID   string
 }
-
-// Name implements Store.
-func (s *SealedStore) Name() string { return "sealed" }
 
 // Save implements Store.
 func (s *SealedStore) Save(state []byte, inj *FaultInjector) error {
@@ -178,9 +170,6 @@ type MemoirStore struct {
 	Key  []byte
 	ID   string
 }
-
-// Name implements Store.
-func (s *MemoirStore) Name() string { return "memoir-counter" }
 
 // Save implements Store.
 func (s *MemoirStore) Save(state []byte, inj *FaultInjector) error {
@@ -224,9 +213,6 @@ type TwoSlotStore struct {
 	Key  []byte
 	ID   string
 }
-
-// Name implements Store.
-func (s *TwoSlotStore) Name() string { return "two-slot" }
 
 func (s *TwoSlotStore) slot(n uint64) string {
 	return fmt.Sprintf("%s.slot%d", s.ID, n%2)

@@ -8,16 +8,22 @@ import (
 // vaultState is the serialized tries_left of the paper's rollback example.
 func vaultState(tries byte) []byte { return []byte{'t', 'r', 'i', 'e', 's', '=', tries} }
 
-func newStores(t *testing.T) (*Hardware, *Disk, []Store) {
+// namedStore is a scheme and the name the tables give it.
+type namedStore struct {
+	name string
+	Store
+}
+
+func newStores(t *testing.T) (*Hardware, *Disk, []namedStore) {
 	t.Helper()
 	hw := NewHardware(11)
 	disk := NewDisk()
 	key := hw.ModuleKey(CodeHash([]byte("pin vault module")))
-	return hw, disk, []Store{
-		&PlainStore{Disk: disk, ID: "vault"},
-		&SealedStore{Disk: disk, HW: hw, Key: key, ID: "vault"},
-		&MemoirStore{Disk: disk, HW: hw, Key: key, ID: "vault"},
-		&TwoSlotStore{Disk: disk, HW: hw, Key: key, ID: "vault"},
+	return hw, disk, []namedStore{
+		{"plain", &PlainStore{Disk: disk, ID: "vault"}},
+		{"sealed", &SealedStore{Disk: disk, HW: hw, Key: key, ID: "vault"}},
+		{"memoir-counter", &MemoirStore{Disk: disk, HW: hw, Key: key, ID: "vault"}},
+		{"two-slot", &TwoSlotStore{Disk: disk, HW: hw, Key: key, ID: "vault"}},
 	}
 }
 
@@ -25,14 +31,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	_, _, stores := newStores(t)
 	for _, s := range stores {
 		if err := s.Save(vaultState(3), nil); err != nil {
-			t.Fatalf("%s: save: %v", s.Name(), err)
+			t.Fatalf("%s: save: %v", s.name, err)
 		}
 		got, err := s.Recover()
 		if err != nil {
-			t.Fatalf("%s: recover: %v", s.Name(), err)
+			t.Fatalf("%s: recover: %v", s.name, err)
 		}
 		if string(got) != string(vaultState(3)) {
-			t.Fatalf("%s: got %q", s.Name(), got)
+			t.Fatalf("%s: got %q", s.name, got)
 		}
 	}
 }
@@ -80,23 +86,23 @@ func containsSub(hay, needle []byte) bool {
 // tries, burn two tries (saving each time), then restore the disk snapshot
 // taken at 3 tries and try to recover. Returns whether the module accepted
 // the stale state.
-func rollbackAttack(t *testing.T, s Store, disk *Disk) bool {
+func rollbackAttack(t *testing.T, s namedStore, disk *Disk) bool {
 	t.Helper()
 	if err := s.Save(vaultState(3), nil); err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
+		t.Fatalf("%s: %v", s.name, err)
 	}
 	snapshot := disk.Snapshot() // attacker snapshots the fresh state
 	if err := s.Save(vaultState(2), nil); err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
+		t.Fatalf("%s: %v", s.name, err)
 	}
 	if err := s.Save(vaultState(1), nil); err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
+		t.Fatalf("%s: %v", s.name, err)
 	}
 	disk.Restore(snapshot) // the rollback
 	got, err := s.Recover()
 	if err != nil {
 		if !errors.Is(err, ErrStale) && !errors.Is(err, ErrNoState) {
-			t.Fatalf("%s: unexpected recover error %v", s.Name(), err)
+			t.Fatalf("%s: unexpected recover error %v", s.name, err)
 		}
 		return false
 	}
@@ -115,8 +121,8 @@ func TestRollbackMatrix(t *testing.T) {
 	_, disk, stores := newStores(t)
 	for _, s := range stores {
 		got := rollbackAttack(t, s, disk)
-		if got != expect[s.Name()] {
-			t.Errorf("%s: rollback success = %v, want %v", s.Name(), got, expect[s.Name()])
+		if got != expect[s.name] {
+			t.Errorf("%s: rollback success = %v, want %v", s.name, got, expect[s.name])
 		}
 	}
 }

@@ -222,28 +222,6 @@ func (r *Registry) Count(name string, v uint64) {
 	r.mu.Unlock()
 }
 
-// Counter returns a counter's current value (0 when never counted).
-func (r *Registry) Counter(name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Hist returns a copy of one histogram (nil when never filled).
-func (r *Registry) Hist(name string) map[string]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(h))
-	for b, v := range h {
-		out[b] = v
-	}
-	return out
-}
-
 // SetWall records one wall-clock metric (nanoseconds, rates, ...) in the
 // non-deterministic section.
 func (r *Registry) SetWall(name string, v float64) {
@@ -408,17 +386,6 @@ func (r *Registry) WriteFolded(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ProfileSamples returns the total sample count of the merged profile.
-func (r *Registry) ProfileSamples() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var n uint64
-	for _, v := range r.profile {
-		n += v
-	}
-	return n
 }
 
 // HotTable renders the per-function hot-cost table of the merged guest

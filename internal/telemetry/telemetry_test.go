@@ -65,10 +65,10 @@ func TestRegistryMergeCommutes(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("merge order changed the metrics file:\n%s\nvs\n%s", j1, j2)
 	}
-	if r1.Counter("cpu.steps.retired") != 150 {
-		t.Fatalf("retired = %d, want 150", r1.Counter("cpu.steps.retired"))
+	if n := r1.counters["cpu.steps.retired"]; n != 150 {
+		t.Fatalf("retired = %d, want 150", n)
 	}
-	if h := r1.Hist("cpu.block.len"); h["03"] != 3 {
+	if h := r1.hists["cpu.block.len"]; h["03"] != 3 {
 		t.Fatalf("len hist %v, want 03:3", h)
 	}
 
@@ -103,17 +103,20 @@ func TestRegistryConcurrentAddSnap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("n"); got != workers*per {
+	if got := r.counters["n"]; got != workers*per {
 		t.Fatalf("n = %d, want %d", got, workers*per)
 	}
-	if got := r.Counter("direct"); got != workers*per {
+	if got := r.counters["direct"]; got != workers*per {
 		t.Fatalf("direct = %d, want %d", got, workers*per)
 	}
-	if got := r.ProfileSamples(); got != workers*per {
-		t.Fatalf("profile samples = %d, want %d", got, workers*per)
+	var samples, n uint64
+	for _, v := range r.profile {
+		samples += v
 	}
-	var n uint64
-	for _, v := range r.Hist("h") {
+	if samples != workers*per {
+		t.Fatalf("profile samples = %d, want %d", samples, workers*per)
+	}
+	for _, v := range r.hists["h"] {
 		n += v
 	}
 	if n != workers*per {
