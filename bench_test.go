@@ -556,20 +556,20 @@ func TestFullReloadStaysCacheFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := cpu.UseBlockEngine
-	defer func() { cpu.UseBlockEngine = saved }()
-	for _, blocks := range []bool{true, false} {
-		cpu.UseBlockEngine = blocks
-		p, err = kernel.Load(ld, kernel.Config{DEP: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := p.Run(); st != cpu.Exited {
-			t.Fatalf("state %v fault %v", st, p.CPU.Fault())
-		}
+	for _, tier := range []string{"trace", "step"} {
+		underTier(t, tier, func() {
+			p, err = kernel.Load(ld, kernel.Config{DEP: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := p.Run(); st != cpu.Exited {
+				t.Fatalf("state %v fault %v", st, p.CPU.Fault())
+			}
+		})
+		blocks := tier != "step"
 		if dc, bc := p.CPU.CacheFootprint(); dc == blocks || bc != blocks {
-			t.Fatalf("hot loop with UseBlockEngine=%v allocated decode=%v block=%v, want only its engine's cache",
-				blocks, dc, bc)
+			t.Fatalf("hot loop on the %s tier allocated decode=%v block=%v, want only its engine's cache",
+				tier, dc, bc)
 		}
 	}
 }
@@ -776,14 +776,13 @@ loop:
 // instruction cache (the block engine is disabled for the measurement).
 func BenchmarkDecodeCacheHit(b *testing.B) {
 	c := benchLoopCPU(b)
-	saved := cpu.UseBlockEngine
-	cpu.UseBlockEngine = false
-	defer func() { cpu.UseBlockEngine = saved }()
 	b.ReportAllocs()
 	b.ResetTimer()
-	if st := c.Run(uint64(b.N)); st != cpu.StepLimit {
-		b.Fatalf("state %v fault %v", st, c.Fault())
-	}
+	underTier(b, "step", func() {
+		if st := c.Run(uint64(b.N)); st != cpu.StepLimit {
+			b.Fatalf("state %v fault %v", st, c.Fault())
+		}
+	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
 
@@ -793,18 +792,17 @@ func BenchmarkDecodeCacheHit(b *testing.B) {
 // rewound with RestoreArch so the timed run starts Running with hot
 // caches.
 func BenchmarkBlockCacheHit(b *testing.B) {
-	saved := cpu.UseTraceEngine
-	cpu.UseTraceEngine = false // pin the measurement to the block tier
-	defer func() { cpu.UseTraceEngine = saved }()
 	c := benchLoopCPU(b)
-	s := c.SaveArch()
-	c.Run(64) // warm the hotness gate and the block cache
-	c.RestoreArch(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if st := c.Run(uint64(b.N)); st != cpu.StepLimit {
-		b.Fatalf("state %v fault %v", st, c.Fault())
-	}
+	underTier(b, "block", func() {
+		s := c.SaveArch()
+		c.Run(64) // warm the hotness gate and the block cache
+		c.RestoreArch(s)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if st := c.Run(uint64(b.N)); st != cpu.StepLimit {
+			b.Fatalf("state %v fault %v", st, c.Fault())
+		}
+	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "MIPS")
 }
 
@@ -869,10 +867,7 @@ func BenchmarkTraceCacheHit(b *testing.B) {
 // numbers is the superblock speedup on dispatch-bound code.
 func BenchmarkTraceVsBlockChain(b *testing.B) {
 	b.Run("block", func(b *testing.B) {
-		saved := cpu.UseTraceEngine
-		cpu.UseTraceEngine = false
-		defer func() { cpu.UseTraceEngine = saved }()
-		benchChainRun(b, benchChainCPU(b, 8))
+		underTier(b, "block", func() { benchChainRun(b, benchChainCPU(b, 8)) })
 	})
 	b.Run("trace", func(b *testing.B) {
 		benchChainRun(b, benchChainCPU(b, 8))

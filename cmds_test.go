@@ -11,22 +11,9 @@ import (
 	"softsec/internal/telemetry"
 )
 
-// cmds_test.go builds every command-line tool and exercises it end to end
-// (the "does the shipped binary actually work" layer above the unit
-// tests).
-
-func buildTools(t *testing.T) string {
-	t.Helper()
-	bin := t.TempDir()
-	for _, tool := range []string{"minc", "smasm", "secsim", "figures", "attacklab", "rundiff"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("build %s: %v\n%s", tool, err, out)
-		}
-	}
-	return bin
-}
+// cmds_test.go exercises every command-line tool end to end, on the
+// binaries shippedBinaries builds (the "does the shipped binary actually
+// work" layer above the unit tests).
 
 // runToolStd is runTool with stdout and stderr captured separately —
 // for the byte-identity checks where stdout must stay pure report
@@ -69,7 +56,7 @@ func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bin := buildTools(t)
+	bin := shippedBinaries(t)
 	work := t.TempDir()
 
 	// A vulnerable program for minc.

@@ -1,24 +1,21 @@
-// Engine differential tests: the basic-block engine and the trace
-// (superblock) engine must both be bit-identical to the single-step
-// reference engine across the entire scenario catalog — byte-identical
-// aggregate JSON, identical raw trial results, identical architectural
-// state, output, and coverage bitmaps — including self-modifying code
-// that rewrites the block currently executing, and snapshot/restore
-// cycles (the fuzz campaign cells reset their victim thousands of times
-// per trial).
+// Process-level engine differentials: the basic-block engine and the
+// trace (superblock) engine must both be bit-identical to the
+// single-step reference engine on one process — architectural state,
+// output and coverage bitmaps — including self-modifying code that
+// rewrites the block currently executing, and snapshot/restore cycles
+// (the fuzz campaign cells reset their victim thousands of times per
+// trial). The catalog-level comparison is the behaviour oracle
+// (oracle_test.go).
 package softsec
 
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
 	"testing"
 
 	"softsec/internal/asm"
 	"softsec/internal/cfi"
-	"softsec/internal/core"
 	"softsec/internal/cpu"
-	"softsec/internal/harness"
 	"softsec/internal/kernel"
 	"softsec/internal/minc"
 )
@@ -30,7 +27,7 @@ var engineTiers = []string{"step", "block", "trace"}
 // underTier runs f with the package-wide engine switches pinned to one
 // tier: "step" (single-step reference), "block" (basic blocks, no
 // traces), or "trace" (blocks + superblocks, the production default).
-func underTier(t *testing.T, tier string, f func()) {
+func underTier(t testing.TB, tier string, f func()) {
 	t.Helper()
 	savedB, savedT := cpu.UseBlockEngine, cpu.UseTraceEngine
 	defer func() { cpu.UseBlockEngine, cpu.UseTraceEngine = savedB, savedT }()
@@ -47,106 +44,13 @@ func underTier(t *testing.T, tier string, f func()) {
 	f()
 }
 
-// catalogGroups returns the distinct group names of reg, sorted.
-func catalogGroups(reg *harness.Registry) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range reg.All() {
-		if !seen[s.Group] {
-			seen[s.Group] = true
-			out = append(out, s.Group)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestDifferentialCatalog sweeps every registered scenario group under
-// both engines and requires byte-identical reports. Trial counts are
-// small but non-trivial: T1/T3/mc trials re-randomize layouts and
-// canaries per trial, and each fuzz trial is a complete campaign of
-// thousands of snapshot/restore cycles.
-func TestDifferentialCatalog(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-catalog differential is not short")
-	}
-	reg := harness.NewRegistry()
-	if err := core.RegisterScenarios(reg); err != nil {
-		t.Fatal(err)
-	}
-	for _, group := range catalogGroups(reg) {
-		group := group
-		t.Run(group, func(t *testing.T) {
-			scs := reg.Group(group)
-			if len(scs) == 0 {
-				t.Fatalf("empty group %q", group)
-			}
-			trials := 2
-			if group == "fuzz" || group == "fuzzp" {
-				trials = 1 // a trial is a whole campaign
-			}
-			if group == "t1p" {
-				trials = 1 // profile-spanning grid: 99 cells x 3 tiers
-			}
-			opt := harness.Options{Trials: trials, Jobs: 1, BaseSeed: 7}
-
-			reps := map[string]*harness.Report{}
-			for _, tier := range engineTiers {
-				underTier(t, tier, func() { reps[tier] = harness.Run(scs, opt) })
-			}
-			refJSON, err := reps["step"].JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tier := range engineTiers[1:] {
-				rep := reps[tier]
-				js, err := rep.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(js, refJSON) {
-					t.Fatalf("aggregate JSON diverged between %s and step:\n%s:\n%s\nstep:\n%s",
-						tier, tier, js, refJSON)
-				}
-				ref := reps["step"]
-				for si := range rep.Results {
-					for ti := range rep.Results[si] {
-						b, r := rep.Results[si][ti], ref.Results[si][ti]
-						if b.Outcome != r.Outcome || b.Code != r.Code ||
-							b.Success != r.Success || b.Detail != r.Detail ||
-							(b.Err == nil) != (r.Err == nil) {
-							t.Fatalf("%s trial %d diverged: %s %+v vs step %+v",
-								scs[si].Name, ti, tier, b, r)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// diffProcRun loads src (MinC) under cfg and runs it to completion under
-// both engines, comparing final state, registers, flags, step counts,
-// fault rendering, output bytes, and the coverage bitmap.
-func diffProcRun(t *testing.T, name, src string, opt minc.Options, cfg kernel.Config) {
-	t.Helper()
-	img, err := minc.Compile(name, src, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffLinkedRun(t, img, cfg)
-}
-
-func diffLinkedRun(t *testing.T, img *asm.Image, cfg kernel.Config) {
-	t.Helper()
-	diffConfiguredRun(t, img, cfg, nil)
-}
-
-// diffConfiguredRun is diffLinkedRun with a post-load hook, so defenses
-// that need the loaded image (the CFI policies) can be installed before
-// the engines are compared.
-func diffConfiguredRun(t *testing.T, img *asm.Image, cfg kernel.Config,
-	post func(p *kernel.Process) error) {
+// diffProcess links img with libc, loads it under cfg, calls post (when
+// non-nil) on the loaded process so defenses that need the loaded image
+// (the CFI policies) can be installed, and runs it to completion under
+// every tier, comparing final state, registers, flags, step counts,
+// fault rendering, output bytes and the coverage bitmap with the
+// stepping engine's.
+func diffProcess(t *testing.T, img *asm.Image, cfg kernel.Config, post func(p *kernel.Process) error) {
 	t.Helper()
 	ld, err := kernel.Link(kernel.Libc(), img)
 	if err != nil {
@@ -228,27 +132,29 @@ func TestDifferentialKernelWorkloads(t *testing.T) {
 		return acc & 0xFF;
 	}`
 	in := func() *kernel.ScriptInput { return &kernel.ScriptInput{[]byte("hello world")} }
-	t.Run("echo/dep", func(t *testing.T) {
-		diffProcRun(t, "v", echo, minc.Options{}, kernel.Config{DEP: true, Input: in()})
-	})
-	t.Run("echo/none", func(t *testing.T) {
-		diffProcRun(t, "v", echo, minc.Options{}, kernel.Config{Input: in()})
-	})
-	t.Run("echo/smashed", func(t *testing.T) {
-		smash := bytes.Repeat([]byte{0x41}, 64)
-		diffProcRun(t, "v", echo, minc.Options{},
-			kernel.Config{DEP: true, Input: &kernel.ScriptInput{smash}})
-	})
-	t.Run("compute/canary+shadow", func(t *testing.T) {
-		diffProcRun(t, "k", compute, minc.Options{Canary: true},
-			kernel.Config{DEP: true, CanarySeed: 9, ShadowStack: true})
-	})
-	t.Run("compute/steplimit", func(t *testing.T) {
+	for _, w := range []struct {
+		name, src string
+		opt       minc.Options
+		cfg       kernel.Config
+	}{
+		{"echo/dep", echo, minc.Options{}, kernel.Config{DEP: true, Input: in()}},
+		{"echo/none", echo, minc.Options{}, kernel.Config{Input: in()}},
+		{"echo/smashed", echo, minc.Options{},
+			kernel.Config{DEP: true, Input: &kernel.ScriptInput{bytes.Repeat([]byte{0x41}, 64)}}},
+		{"compute/canary+shadow", compute, minc.Options{Canary: true},
+			kernel.Config{DEP: true, CanarySeed: 9, ShadowStack: true}},
 		// The budget lands mid-execution: StepLimit must fire at the same
-		// instruction count under both engines.
-		diffProcRun(t, "k", compute, minc.Options{},
-			kernel.Config{DEP: true, MaxSteps: 777})
-	})
+		// instruction count under every tier.
+		{"compute/steplimit", compute, minc.Options{}, kernel.Config{DEP: true, MaxSteps: 777}},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			img, err := minc.Compile("v", w.src, w.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffProcess(t, img, w.cfg, nil)
+		})
+	}
 }
 
 // TestDifferentialCFIPolicy pins the CFI block-refusal path: under a CFI
@@ -314,7 +220,7 @@ func TestDifferentialCFIPolicy(t *testing.T) {
 	for _, prec := range []cfi.Precision{cfi.Coarse, cfi.Fine} {
 		for label, in := range inputs {
 			t.Run(prec.String()+"/"+label, func(t *testing.T) {
-				diffConfiguredRun(t, img,
+				diffProcess(t, img,
 					kernel.Config{DEP: true, Input: &kernel.ScriptInput{in}},
 					func(p *kernel.Process) error {
 						g, err := cfi.Recover(p)
@@ -332,7 +238,7 @@ func TestDifferentialCFIPolicy(t *testing.T) {
 	// strongest defense combination must stay bit-identical too.
 	for label, in := range inputs {
 		t.Run("fine+shadow/"+label, func(t *testing.T) {
-			diffConfiguredRun(t, img,
+			diffProcess(t, img,
 				kernel.Config{DEP: true, ShadowStack: true, Input: &kernel.ScriptInput{in}},
 				func(p *kernel.Process) error {
 					g, err := cfi.Recover(p)
@@ -386,7 +292,7 @@ func TestDifferentialSelfModifyingBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffLinkedRun(t, img, kernel.Config{})
+	diffProcess(t, img, kernel.Config{}, nil)
 
 	ld, err := kernel.Link(kernel.Libc(), img)
 	if err != nil {
@@ -405,73 +311,20 @@ func TestDifferentialSelfModifyingBlock(t *testing.T) {
 }
 
 // TestDifferentialSnapshotCycles drives mutate-restore cycles through
-// both engines: run, restore, re-run with different input, and compare
-// outputs and arch state after every cycle.
+// every tier: run, restore, re-run with different input, and compare
+// outputs and arch state after every cycle. The second victim is
+// restored while it still has hot traces over its code, with an input
+// that steers its branchy loop differently each cycle: stale
+// superblocks from the previous cycle must never leak into the next
+// one, on any tier.
 func TestDifferentialSnapshotCycles(t *testing.T) {
-	const victim = `
+	const echo = `
 	void main() {
 		char buf[16];
 		read(0, buf, 64);
 		write(1, buf, 8);
 	}`
-	img, err := minc.Compile("v", victim, minc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := kernel.Link(kernel.Libc(), img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]byte{
-		[]byte("aaaaaaaaaaaa"),
-		bytes.Repeat([]byte{0x41}, 64),
-		[]byte("bbbbbbbbbbbb"),
-		bytes.Repeat([]byte{0xCC}, 40),
-	}
-	type cycle struct {
-		st    cpu.State
-		steps uint64
-		out   []byte
-	}
-	runCycles := func(tier string) []cycle {
-		var out []cycle
-		underTier(t, tier, func() {
-			p, err := kernel.Load(ld, kernel.Config{Input: &kernel.ScriptInput{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			snap := p.Snapshot()
-			for _, in := range inputs {
-				if err := p.Restore(snap); err != nil {
-					t.Fatal(err)
-				}
-				p.SetInput(&kernel.ScriptInput{in})
-				st := p.Run()
-				out = append(out, cycle{st, p.CPU.Steps, append([]byte(nil), p.Output.Bytes()...)})
-			}
-		})
-		return out
-	}
-	ref := runCycles("step")
-	for _, tier := range engineTiers[1:] {
-		got := runCycles(tier)
-		for i := range inputs {
-			if got[i].st != ref[i].st || got[i].steps != ref[i].steps ||
-				!bytes.Equal(got[i].out, ref[i].out) {
-				t.Fatalf("cycle %d diverged: %s {%v %d %q} vs step {%v %d %q}",
-					i, tier, got[i].st, got[i].steps, got[i].out,
-					ref[i].st, ref[i].steps, ref[i].out)
-			}
-		}
-	}
-}
-
-// TestDifferentialRestoreMidTrace restores a snapshot taken while the
-// victim still has hot traces over its code, with an input that steers
-// the (branchy) victim differently each cycle: stale superblocks from the
-// previous cycle must never leak into the next one, on any tier.
-func TestDifferentialRestoreMidTrace(t *testing.T) {
-	const victim = `
+	const branchy = `
 	void main() {
 		char buf[32];
 		int i;
@@ -486,53 +339,69 @@ func TestDifferentialRestoreMidTrace(t *testing.T) {
 		}
 		write(1, buf, 4);
 	}`
-	img, err := minc.Compile("v", victim, minc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ld, err := kernel.Link(kernel.Libc(), img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := [][]byte{
-		bytes.Repeat([]byte{0x41}, 32),                  // every branch taken
-		bytes.Repeat([]byte{0x30}, 32),                  // every branch fallen through
-		[]byte("A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0")[:32], // alternating
-		bytes.Repeat([]byte{0x41}, 32),                  // back to the first shape
-	}
-	type cycle struct {
-		st    cpu.State
-		steps uint64
-		out   []byte
-	}
-	runCycles := func(tier string) []cycle {
-		var out []cycle
-		underTier(t, tier, func() {
-			p, err := kernel.Load(ld, kernel.Config{DEP: true, Input: &kernel.ScriptInput{}})
+	for _, v := range []struct {
+		name, src string
+		dep       bool
+		inputs    [][]byte
+	}{
+		{"echo", echo, false, [][]byte{
+			[]byte("aaaaaaaaaaaa"),
+			bytes.Repeat([]byte{0x41}, 64),
+			[]byte("bbbbbbbbbbbb"),
+			bytes.Repeat([]byte{0xCC}, 40),
+		}},
+		{"restore mid-trace", branchy, true, [][]byte{
+			bytes.Repeat([]byte{0x41}, 32),                  // every branch taken
+			bytes.Repeat([]byte{0x30}, 32),                  // every branch fallen through
+			[]byte("A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0A0")[:32], // alternating
+			bytes.Repeat([]byte{0x41}, 32),                  // back to the first shape
+		}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			img, err := minc.Compile("v", v.src, minc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := p.Snapshot()
-			for _, in := range inputs {
-				if err := p.Restore(snap); err != nil {
-					t.Fatal(err)
+			ld, err := kernel.Link(kernel.Libc(), img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type cycle struct {
+				st    cpu.State
+				steps uint64
+				out   []byte
+			}
+			runCycles := func(tier string) []cycle {
+				var out []cycle
+				underTier(t, tier, func() {
+					p, err := kernel.Load(ld, kernel.Config{DEP: v.dep, Input: &kernel.ScriptInput{}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := p.Snapshot()
+					for _, in := range v.inputs {
+						if err := p.Restore(snap); err != nil {
+							t.Fatal(err)
+						}
+						p.SetInput(&kernel.ScriptInput{in})
+						st := p.Run()
+						out = append(out, cycle{st, p.CPU.Steps, append([]byte(nil), p.Output.Bytes()...)})
+					}
+				})
+				return out
+			}
+			ref := runCycles("step")
+			for _, tier := range engineTiers[1:] {
+				got := runCycles(tier)
+				for i := range v.inputs {
+					if got[i].st != ref[i].st || got[i].steps != ref[i].steps ||
+						!bytes.Equal(got[i].out, ref[i].out) {
+						t.Fatalf("cycle %d diverged: %s {%v %d %q} vs step {%v %d %q}",
+							i, tier, got[i].st, got[i].steps, got[i].out,
+							ref[i].st, ref[i].steps, ref[i].out)
+					}
 				}
-				p.SetInput(&kernel.ScriptInput{in})
-				st := p.Run()
-				out = append(out, cycle{st, p.CPU.Steps, append([]byte(nil), p.Output.Bytes()...)})
 			}
 		})
-		return out
-	}
-	ref := runCycles("step")
-	for _, tier := range engineTiers[1:] {
-		got := runCycles(tier)
-		for i := range inputs {
-			if got[i].st != ref[i].st || got[i].steps != ref[i].steps ||
-				!bytes.Equal(got[i].out, ref[i].out) {
-				t.Fatalf("cycle %d diverged: %s {%v %d} vs step {%v %d}",
-					i, tier, got[i].st, got[i].steps, ref[i].st, ref[i].steps)
-			}
-		}
 	}
 }

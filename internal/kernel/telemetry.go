@@ -51,11 +51,11 @@ func AttachInstruments(p *Process, spec *telemetry.Spec) *Instruments {
 	p.CPU.TraceStats = &ins.Trace
 	p.Mem.SetStats(&ins.Mem)
 	if spec.Profile {
-		ins.Prof = cpu.NewProfiler(spec.Interval())
+		ins.Prof = cpu.NewProfiler(telemetry.DefaultProfileInterval)
 		p.CPU.Prof = ins.Prof
 	}
 	if spec.Events {
-		ins.Ring = telemetry.NewRing(spec.Cap())
+		ins.Ring = telemetry.NewRing(telemetry.DefaultEventCap)
 		p.CPU.Events = ins.Ring
 	}
 	return ins

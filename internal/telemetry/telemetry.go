@@ -41,20 +41,16 @@ import (
 // telemetry off; a non-nil Spec always collects counters and histograms,
 // with the profiler and event ring opted into individually.
 type Spec struct {
-	// Profile samples the guest sim PC every ProfileInterval retired
-	// instructions. Sampling is instruction-count-driven, so profiles are
-	// byte-identical across runs, job counts and engine tiers (installing
-	// a profiler forces the bit-identical stepping engine).
+	// Profile samples the guest sim PC every DefaultProfileInterval
+	// retired instructions. Sampling is instruction-count-driven, so
+	// profiles are byte-identical across runs, job counts and engine
+	// tiers (installing a profiler forces the bit-identical stepping
+	// engine).
 	Profile bool
-	// ProfileInterval overrides the sampling period; zero means
-	// DefaultProfileInterval.
-	ProfileInterval uint64
-	// Events records engine events into a bounded ring per trial.
+	// Events records engine events into a ring of DefaultEventCap slots
+	// per trial. When the ring is full the oldest events are overwritten
+	// (the drop count is reported).
 	Events bool
-	// EventCap overrides the ring capacity; zero means DefaultEventCap.
-	// When the ring is full the oldest events are overwritten (the drop
-	// count is reported).
-	EventCap int
 }
 
 // Collection defaults.
@@ -62,22 +58,6 @@ const (
 	DefaultProfileInterval = 64
 	DefaultEventCap        = 4096
 )
-
-// Interval returns the effective profiler sampling period.
-func (s *Spec) Interval() uint64 {
-	if s.ProfileInterval != 0 {
-		return s.ProfileInterval
-	}
-	return DefaultProfileInterval
-}
-
-// Cap returns the effective event-ring capacity.
-func (s *Spec) Cap() int {
-	if s.EventCap != 0 {
-		return s.EventCap
-	}
-	return DefaultEventCap
-}
 
 // Snap is the telemetry of one trial: a shard produced by exactly one
 // worker, merged into a Registry afterwards. It is not safe for

@@ -297,17 +297,3 @@ func TestHotTable(t *testing.T) {
 		t.Fatalf("limit 1 rendered:\n%s", got)
 	}
 }
-
-func TestSpecDefaults(t *testing.T) {
-	s := &Spec{}
-	if s.Interval() != DefaultProfileInterval {
-		t.Fatalf("Interval = %d", s.Interval())
-	}
-	if s.Cap() != DefaultEventCap {
-		t.Fatalf("Cap = %d", s.Cap())
-	}
-	s = &Spec{ProfileInterval: 7, EventCap: 9}
-	if s.Interval() != 7 || s.Cap() != 9 {
-		t.Fatalf("overrides ignored: %d %d", s.Interval(), s.Cap())
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,53 +24,66 @@ import (
 // reaches is deleted, moved into the tests that need it, or named in
 // testdata/unreached.txt with its reason.
 
-// buildReachBinaries builds every shipped binary with inlining off, so
-// that a function reached only through an inlined call still has its own
-// symbol, and returns the binaries' paths by base name. Each is a package
-// and the directory go builds it from: "." for the root module,
-// "cmd/perf" for the benchmark's own module.
-func buildReachBinaries(t *testing.T) map[string]string {
-	t.Helper()
-	bin := t.TempDir()
-	paths := map[string]string{}
-	for _, b := range []struct{ dir, pkg string }{
-		{".", "./cmd/attacklab"},
-		{".", "./cmd/figures"},
-		{".", "./cmd/minc"},
-		{".", "./cmd/rundiff"},
-		{".", "./cmd/secsim"},
-		{".", "./cmd/smasm"},
-		{".", "./examples/attestation"},
-		{".", "./examples/pinvault"},
-		{".", "./examples/quickstart"},
-		{".", "./examples/ropgallery"},
-		{"cmd/perf", "."},
-	} {
-		name := filepath.Base(b.pkg)
-		if b.pkg == "." {
-			name = filepath.Base(b.dir)
-		}
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "-C", b.dir, "build", "-gcflags=all=-l", "-o", out, b.pkg)
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		paths[name] = out
-	}
-	return paths
+// shipped holds the binaries shippedBinaries builds, once per test
+// process, for every test that runs them.
+var shipped struct {
+	once sync.Once
+	dir  string
+	err  error
 }
 
-// linkedFunctions lists the text symbols of the binaries, each with the
-// bracketed type shapes of a generic instantiation stripped, so that
-// "buildcache.(*Cache[go.shape.string,...]).Get" reads as
-// "buildcache.(*Cache).Get".
-func linkedFunctions(t *testing.T, binaries map[string]string) map[string]bool {
+// shippedBinaries builds every shipped binary into one directory, each
+// named after its package's directory, and returns the directory: the
+// six tools and the four examples with one go build, cmd/perf (a module
+// of its own) with a second. Inlining is off, so that a function
+// reached only through an inlined call still has its own symbol; it
+// does not change what a binary does.
+func shippedBinaries(t *testing.T) string {
 	t.Helper()
+	shipped.once.Do(func() {
+		if shipped.dir, shipped.err = os.MkdirTemp("", "softsec-bin-"); shipped.err != nil {
+			return
+		}
+		for _, args := range [][]string{
+			{"build", "-gcflags=all=-l", "-o", shipped.dir + string(filepath.Separator), "./cmd/...", "./examples/..."},
+			{"-C", "cmd/perf", "build", "-gcflags=all=-l", "-o", filepath.Join(shipped.dir, "perf"), "."},
+		} {
+			if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+				shipped.err = fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+				return
+			}
+		}
+	})
+	if shipped.err != nil {
+		t.Fatal(shipped.err)
+	}
+	return shipped.dir
+}
+
+// TestMain removes the shipped binaries after the last test.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shipped.dir != "" {
+		os.RemoveAll(shipped.dir)
+	}
+	os.Exit(code)
+}
+
+// linkedFunctions lists the text symbols of the binaries in dir, each
+// with the bracketed type shapes of a generic instantiation stripped, so
+// that "buildcache.(*Cache[go.shape.string,...]).Get" reads as
+// "buildcache.(*Cache).Get".
+func linkedFunctions(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	binaries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	syms := map[string]bool{}
-	for name, path := range binaries {
-		out, err := exec.Command("go", "tool", "nm", path).Output()
+	for _, b := range binaries {
+		out, err := exec.Command("go", "tool", "nm", filepath.Join(dir, b.Name())).Output()
 		if err != nil {
-			t.Fatalf("nm %s: %v", name, err)
+			t.Fatalf("nm %s: %v", b.Name(), err)
 		}
 		sc := bufio.NewScanner(bytes.NewReader(out))
 		for sc.Scan() {
@@ -217,9 +231,9 @@ func TestShippedBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	binaries := buildReachBinaries(t)
+	bin := shippedBinaries(t)
 	t.Run("every internal function is reached", func(t *testing.T) {
-		for _, p := range unreachedProblems(declaredFunctions(t), linkedFunctions(t, binaries), readUnreached(t)) {
+		for _, p := range unreachedProblems(declaredFunctions(t), linkedFunctions(t, bin), readUnreached(t)) {
 			t.Error(p)
 		}
 	})
@@ -234,7 +248,7 @@ func TestShippedBinaries(t *testing.T) {
 		{"ropgallery", []string{"COMPROMISED"}},
 	} {
 		t.Run("example "+ex.name, func(t *testing.T) {
-			out, err := exec.Command(binaries[ex.name]).CombinedOutput()
+			out, err := exec.Command(filepath.Join(bin, ex.name)).CombinedOutput()
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", ex.name, err, out)
 			}
