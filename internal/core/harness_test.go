@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,6 +101,42 @@ func TestASLRSweepViaHarness(t *testing.T) {
 	}
 	if c.Successes != 0 {
 		t.Fatalf("exploit survived ASLR in %d/%d trials", c.Successes, c.Trials)
+	}
+}
+
+// TestColdTrialsReuseArrays guards what Memory.Release saves: a cold
+// reseeded trial gives its page arrays back, and the next trial's first
+// stores reuse them. After one warm-up trial per cell, 200 trials of
+// every mc-aslr and of every mc-canary cell must each average under
+// 8 KiB; a trial that keeps its arrays allocates about 16 KiB.
+func TestColdTrialsReuseArrays(t *testing.T) {
+	const trials, limit = 200, 8 << 10
+	r := harness.NewRegistry()
+	if err := RegisterScenarios(r); err != nil {
+		t.Fatal(err)
+	}
+	for _, group := range []string{"mc-aslr", "mc-canary"} {
+		cells := r.Group(group)
+		trial := func(sc harness.Scenario, i int) {
+			res := sc.Run(harness.Trial{Scenario: sc.Name, Index: i, Seed: harness.TrialSeed(1, sc.Name, i)})
+			if res.Err != nil {
+				t.Fatalf("%s trial %d: %v", sc.Name, i, res.Err)
+			}
+		}
+		for _, sc := range cells {
+			trial(sc, 0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, sc := range cells {
+			for i := 1; i <= trials; i++ {
+				trial(sc, i)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / uint64(trials*len(cells)); per >= limit {
+			t.Errorf("%s: %d B allocated per cold trial, want under %d", group, per, limit)
+		}
 	}
 }
 

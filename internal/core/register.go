@@ -175,7 +175,8 @@ func canarySweep(a AttackSpec, profile string) harness.Scenario {
 
 // runTrialCell builds and runs one scenario instance from the trial's
 // one victim lookup and converts the outcome into harness terms,
-// collecting telemetry when spec asks.
+// collecting telemetry when spec asks. The process is the trial's alone,
+// and its memory is released on return.
 func runTrialCell(a AttackSpec, m Mitigations, spec *telemetry.Spec) harness.TrialResult {
 	s, v, err := a.trial(m)
 	if err != nil {
@@ -185,6 +186,9 @@ func runTrialCell(a AttackSpec, m Mitigations, spec *telemetry.Spec) harness.Tri
 	if err != nil {
 		return harness.TrialResult{Err: err}
 	}
+	// Nothing reads a cold trial's process once it is classified and its
+	// telemetry snapped, so its page arrays go back for the next load.
+	defer p.Mem.Release()
 	return trialResult(runLoaded(p, s.Goal, spec))
 }
 

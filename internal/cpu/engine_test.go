@@ -166,37 +166,65 @@ func TestStepLimitExactAcrossEngines(t *testing.T) {
 // TestBlockSelfModify rewrites an instruction *later in the currently
 // executing block*: the store at index i patches the immediate of the
 // instruction at i+1. The block engine must observe its own write, just
-// as the stepping engine refetches every instruction.
+// as the stepping engine refetches every instruction. It runs without
+// and with a mem.Stats sink, which must count the stamp bumps and change
+// nothing else.
 func TestBlockSelfModify(t *testing.T) {
 	mk := func(t *testing.T) *CPU {
-		// One straight-line block, executed twice (hotness gate builds it
-		// on the second pass) via an outer loop:
+		// One straight-line block, executed six times via an outer loop.
+		// Each pass stores a new value, so the block the fourth pass
+		// builds (the warm-up probe's first block) holds the imm the
+		// third pass wrote, and its own store rewrites it in flight:
 		//  T+0  movi edx, 0
-		//  T+5 loop:
-		//  T+5  movi ecx, T+23+1          ; address of the patched imm
-		//  T+10 movi eax, 0x77
-		//  T+15 storeb [ecx+0], eax       ; rewrites next instr's imm byte
-		//  T+21 hmm storeb size 6 -> at 15..20
-		//  T+21 movi ebx, 0x11            ; patched to 0x77 in-flight
-		//  T+26 cmp edx, 0... (see below)
+		//  T+5  movi eax, 0x76
+		//  T+10 loop: movi ecx, T+28     ; address of the patched imm
+		//  T+15 addi eax, 1
+		//  T+21 storeb [ecx+0], eax      ; rewrites next instr's imm byte
+		//  T+27 movi ebx, 0x11           ; patched to 0x77+pass in flight
+		//  T+32 cmpi edx, 5
+		//  T+38 jz done
+		//  T+43 addi edx, 1
+		//  T+49 jmp loop
+		//  T+54 done: hlt
 		var code []byte
 		add := func(in isa.Instr) { code = isa.MustEncode(code, in) }
 		add(isa.Instr{Op: isa.MOVI, Rd: isa.EDX, Imm: 0})                // 0
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: textBase + 22})    // 5: imm byte of MOVI at 21
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 0x77})             // 10
-		add(isa.Instr{Op: isa.STOREB, Rd: isa.ECX, Rs: isa.EAX, Imm: 0}) // 15
-		add(isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 0x11})             // 21: patched
-		add(isa.Instr{Op: isa.CMPI, Rd: isa.EDX, Imm: 1})                // 26
-		add(isa.Instr{Op: isa.JZ, Imm: 11})                              // 32 -> done at 48
-		add(isa.Instr{Op: isa.ADDI, Rd: isa.EDX, Imm: 1})                // 37
-		add(isa.Instr{Op: isa.JMP, Imm: ^uint32(42)})                    // 43 -> loop at 5
-		add(isa.Instr{Op: isa.HLT})                                      // 48
-		return newRWXMachine(t, code)
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.EAX, Imm: 0x76})             // 5
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.ECX, Imm: textBase + 28})    // 10: imm byte of MOVI at 27
+		add(isa.Instr{Op: isa.ADDI, Rd: isa.EAX, Imm: 1})                // 15
+		add(isa.Instr{Op: isa.STOREB, Rd: isa.ECX, Rs: isa.EAX, Imm: 0}) // 21
+		add(isa.Instr{Op: isa.MOVI, Rd: isa.EBX, Imm: 0x11})             // 27: patched
+		add(isa.Instr{Op: isa.CMPI, Rd: isa.EDX, Imm: 5})                // 32
+		add(isa.Instr{Op: isa.JZ, Imm: 11})                              // 38 -> done at 54
+		add(isa.Instr{Op: isa.ADDI, Rd: isa.EDX, Imm: 1})                // 43
+		add(isa.Instr{Op: isa.JMP, Imm: ^uint32(43)})                    // 49 -> loop at 10
+		add(isa.Instr{Op: isa.HLT})                                      // 54
+		c := newRWXMachine(t, code)
+		c.BlockStats = &BlockStats{}
+		return c
 	}
-	blk, _ := runBothEngines(t, mk, 1000)
-	if blk.Reg[isa.EBX] != 0x77 {
-		t.Fatalf("ebx = %#x, want 0x77 (stale block decode served after in-block self-modify)",
-			blk.Reg[isa.EBX])
+	run := func(st *mem.Stats) outcome {
+		blk, _ := runBothEngines(t, func(t *testing.T) *CPU {
+			c := mk(t)
+			c.Mem.SetStats(st)
+			return c
+		}, 1000)
+		if blk.Reg[isa.EBX] != 0x77+5 {
+			t.Fatalf("ebx = %#x, want %#x (stale block decode served after in-block self-modify)",
+				blk.Reg[isa.EBX], 0x77+5)
+		}
+		if blk.BlockStats.SelfStales == 0 {
+			t.Fatalf("no block rewrote itself in flight: %+v", *blk.BlockStats)
+		}
+		return outcomeOf(blk, blk.state)
+	}
+	want := run(nil)
+	st := &mem.Stats{}
+	if d := want.diff(run(st)); d != "" {
+		t.Fatalf("with a mem.Stats sink: %s", d)
+	}
+	if st.StampBumps == 0 {
+		t.Fatal("the mem.Stats sink counted no stamp bump")
 	}
 }
 

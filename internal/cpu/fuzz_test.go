@@ -285,6 +285,14 @@ var (
 	fuzzSeedGuard = []byte{62, 128, 2,
 		9, 5, 0, 9, 5, 0, 9, 5, 0, 9, 5, 0, 8, 7, 0, 1, 0, 1, 11, 0, 0,
 		35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 35, 0, 0, 1, 3, 1, 35, 0, 12}
+	// A store into the guard from a block outside it: addi ecx, 0x100;
+	// storeb [ecx+18], eax; jmp tail; nop; nop (the guard, at offset 18,
+	// picked by the last byte). The jmp skips both nops, so the guard's
+	// compiler proves every block of the loop exec-safe, and none
+	// data-free. The store walks up the text pages below the code, and in
+	// iteration 32, long after its block formed, it reaches the guard.
+	fuzzSeedGuardStore = []byte{62, 128, 10,
+		73, 1, 16, 90, 0, 18, 8, 5, 0, 35, 0, 0, 35, 0, 4}
 )
 
 // FuzzEngineDifferential runs generated loops (genLoop) on the step,
@@ -298,6 +306,7 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add(fuzzSeedPushCall)
 	f.Add(fuzzSeedSMC)
 	f.Add(fuzzSeedGuard)
+	f.Add(fuzzSeedGuardStore)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := genLoop(data)
 		for _, pol := range []struct {
@@ -388,5 +397,43 @@ func TestFuzzGuardSeedShape(t *testing.T) {
 	}
 	if bs.Checked != 1 {
 		t.Fatalf("%d checked dispatches, want the one that faulted: %+v", bs.Checked, *bs)
+	}
+}
+
+// TestFuzzGuardStoreSeedShape pins that fuzzSeedGuardStore reaches the
+// path it is named for on the block tier: under the guard's block
+// compiler, iteration 32's store into the guard faults inside one
+// dispatch of a block the compiler proved exec-safe, so only the data
+// check the block still runs can stop it.
+func TestFuzzGuardStoreSeedShape(t *testing.T) {
+	p := genLoop(fuzzSeedGuardStore)
+	// run runs p from the start for budget steps on the block tier and
+	// returns the machine, its final state and its block counters.
+	run := func(budget uint64) (*CPU, State, BlockStats) {
+		c := fuzzMachine(t, p)
+		c.Policy = &fuzzGuardCompiler{p.guard}
+		bs := &BlockStats{}
+		c.BlockStats = bs
+		var st State
+		withTiers(true, false, func() { st = c.Run(budget) })
+		return c, st, *bs
+	}
+	// Each iteration retires addi, storeb, jmp, subi and jnz.
+	before, st, bsBefore := run(31 * 5)
+	if st != StepLimit || before.IP != fuzzCode || before.Reg[isa.ECX] != fuzzCode-0x100 {
+		t.Fatalf("after 31 iterations: state %v, ip %#x, ecx %#x", st, before.IP, before.Reg[isa.ECX])
+	}
+	if bsBefore.Builds == 0 {
+		t.Fatal("no block formed in 31 iterations")
+	}
+	c, st, bs := run(fuzzBudget)
+	if st != Faulted {
+		t.Fatalf("state %v, want faulted", st)
+	}
+	if f := c.Fault(); f.Kind != FaultPolicy || f.IP != fuzzCode+6 || c.Reg[isa.ECX]+18 != p.guard.lo {
+		t.Fatalf("fault %v with ecx %#x, want a policy fault of the store at %#x into %#x", f, c.Reg[isa.ECX], fuzzCode+6, p.guard.lo)
+	}
+	if bs.Dispatches != bsBefore.Dispatches+1 || bs.StepFalls != bsBefore.StepFalls || bs.Checked != bsBefore.Checked {
+		t.Fatalf("iteration 32 was not one exec-safe dispatch: %+v, then %+v", bsBefore, bs)
 	}
 }

@@ -22,6 +22,13 @@
 // code caches and the undo log see no difference between a page that
 // still shares the zero array and one that owns its bytes.
 //
+// Private arrays come from a process-wide pool. Release, called by the
+// one owner of an address space nothing reads any more, zeroes every
+// array the space owns and puts it there, so the next process's first
+// stores reuse it instead of allocating. Every array the pool hands out
+// is all zero, as new's are: no address space can read bytes another
+// one left behind.
+//
 // Code-cache invalidation is per page. Each page has a write generation,
 // exposed through CodeStamp: it bumps on every event that could change
 // what executing code on that page means — content writes that could
@@ -37,6 +44,7 @@ package mem
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // PageSize is the granularity of mapping and permissions, 4 KiB as on the
@@ -118,9 +126,15 @@ func (f *Fault) Error() string {
 		f.Access, f.Kind, f.Addr, f.Have)
 }
 
-// zeroPage backs every page that has not been stored to yet. Nothing
-// writes it: page.writable swaps in a private array first.
+// zeroPage backs every page that has not been stored to yet, and every
+// page Release retired. Nothing writes it: page.writable swaps in a
+// private array first.
 var zeroPage [PageSize]byte
+
+// pageArrays holds the zeroed private arrays of released address spaces
+// (see Release) for the next first store. Every array in it is all
+// zero, so taking one is indistinguishable from new([PageSize]byte).
+var pageArrays = sync.Pool{New: func() any { return new([PageSize]byte) }}
 
 type page struct {
 	// data is &zeroPage until the page's first store; see writable.
@@ -177,7 +191,8 @@ type Memory struct {
 	// pattern of a fuzzing campaign allocates its heap pages exactly once.
 	// Recycling is safe for the code caches because releasing a page bumps
 	// its write generation, so any cached stamp into its previous life can
-	// never validate again.
+	// never validate again. Pages here keep their arrays for this Memory;
+	// Release drains them with the mapped pages.
 	free []*page
 
 	// stats, when non-nil, counts stamp bumps and restore traffic; see
@@ -296,10 +311,10 @@ func (m *Memory) allocPage(perm Perm, fresh []page) (*page, []page) {
 }
 
 // writable returns p's bytes for a store, first giving the page a private
-// array if it still reads through zeroPage.
+// array, all zero, from pageArrays if it still reads through zeroPage.
 func (p *page) writable() *[PageSize]byte {
 	if p.data == &zeroPage {
-		p.data = new([PageSize]byte)
+		p.data = pageArrays.Get().(*[PageSize]byte)
 	}
 	return p.data
 }
@@ -313,6 +328,44 @@ func (m *Memory) releasePage(p *page) {
 		m.free = append(m.free, p)
 	} else {
 		p.data = &zeroPage // its header batch may outlive it
+	}
+}
+
+// Release empties m and returns the private array of every page it
+// holds, mapped or in the page pool, to pageArrays for the next first
+// store anywhere in the process. Each page leaving bumps its write stamp,
+// as releasePage does, so no code stamp taken before can validate again;
+// each array is zeroed before it goes. m is then an empty address space,
+// as New returns it: any access faults unmapped, its old checkpoint no
+// longer restores, and Map works.
+//
+// Only the sole owner of m may call Release, once nothing will read the
+// process again: a cold trial after it has classified its run and
+// snapped its telemetry. Callers that hand the process on (Result.Proc),
+// keep it for restores (warm instances, fuzz campaigns) or reuse it
+// (recon) never release.
+func (m *Memory) Release() {
+	for _, e := range m.ext {
+		for _, p := range e.pages {
+			if p != nil {
+				m.releaseArray(p)
+			}
+		}
+	}
+	for _, p := range m.free {
+		m.releaseArray(p)
+	}
+	*m = Memory{}
+}
+
+// releaseArray retires p for Release: it bumps the write stamp and moves
+// a private array, zeroed, to pageArrays, leaving p on zeroPage.
+func (m *Memory) releaseArray(p *page) {
+	m.bumpStamp(p)
+	if p.data != &zeroPage {
+		*p.data = [PageSize]byte{}
+		pageArrays.Put(p.data)
+		p.data = &zeroPage
 	}
 }
 

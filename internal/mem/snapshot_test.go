@@ -318,25 +318,42 @@ func TestRestoreRequiresActiveCheckpoint(t *testing.T) {
 // invalidation contract: a page whose content the rollback rewrites gets
 // a fresh write stamp (decodes cached against the mutated bytes must not
 // survive), while a page never written since the checkpoint keeps its
-// stamp — the warm-cache fast path, per page.
+// stamp — the warm-cache fast path, per page. A stats sink counts the
+// bumps and changes none of them.
 func TestRestoreBumpsWriteStamps(t *testing.T) {
-	m := New()
-	if err := m.Map(0x1000, 2*PageSize, RWX); err != nil {
-		t.Fatal(err)
+	// moved reports, for the page written after the checkpoint and the
+	// page left alone, whether the restore moved its write stamp.
+	moved := func(st *Stats) [2]bool {
+		m := New()
+		m.SetStats(st)
+		if err := m.Map(0x1000, 2*PageSize, RWX); err != nil {
+			t.Fatal(err)
+		}
+		cp := m.Checkpoint()
+		_, w1 := m.CodeStamp(0x1000)
+		_, w2 := m.CodeStamp(0x2000)
+		if err := m.Write8(0x1000, 0x90); err != nil { // dirties page 1 only
+			t.Fatal(err)
+		}
+		if err := m.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		_, v1 := m.CodeStamp(0x1000)
+		_, v2 := m.CodeStamp(0x2000)
+		return [2]bool{v1 != w1, v2 != w2}
 	}
-	cp := m.Checkpoint()
-	_, w1 := m.CodeStamp(0x1000)
-	_, w2 := m.CodeStamp(0x2000)
-	if err := m.Write8(0x1000, 0x90); err != nil { // dirties page 1 only
-		t.Fatal(err)
-	}
-	if err := m.Restore(cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, w := m.CodeStamp(0x1000); w == w1 {
+	got := moved(nil)
+	if !got[0] {
 		t.Fatal("restored page kept its write stamp (stale decode could survive)")
 	}
-	if _, w := m.CodeStamp(0x2000); w != w2 {
+	if got[1] {
 		t.Fatal("untouched page lost its write stamp (cache needlessly cold)")
+	}
+	st := &Stats{}
+	if withSink := moved(st); withSink != got {
+		t.Fatalf("with a stats sink the stamps moved as %v, without one as %v", withSink, got)
+	}
+	if st.StampBumps == 0 {
+		t.Fatal("the stats sink counted no stamp bump")
 	}
 }
